@@ -24,6 +24,9 @@ pub struct CrashPoint {
     /// Bytes still allowed through the write path. Negative once struck.
     budget: AtomicI64,
     crashed: AtomicBool,
+    /// The strike fails one write with an I/O error and leaves the
+    /// machine up, instead of cutting the power.
+    io_error: bool,
 }
 
 impl CrashPoint {
@@ -36,9 +39,24 @@ impl CrashPoint {
     /// path. `n = 0` kills the very first write outright; a value inside
     /// a record's on-disk span produces a torn record.
     pub fn at_byte(n: u64) -> Arc<CrashPoint> {
+        CrashPoint::armed(n, false)
+    }
+
+    /// Arms a transient fault instead of a power cut: the write during
+    /// which `n` more bytes have gone through is cut short at that byte
+    /// and fails with [`LogError::Io`](crate::LogError::Io) — a full disk,
+    /// a failing device — but the machine stays up, and every later write
+    /// passes. What happens next is up to the log, which is the point:
+    /// it must not forget the records that write lost.
+    pub fn io_error_at_byte(n: u64) -> Arc<CrashPoint> {
+        CrashPoint::armed(n, true)
+    }
+
+    fn armed(n: u64, io_error: bool) -> Arc<CrashPoint> {
         Arc::new(CrashPoint {
             budget: AtomicI64::new(i64::try_from(n).unwrap_or(i64::MAX)),
             crashed: AtomicBool::new(false),
+            io_error,
         })
     }
 
@@ -80,8 +98,13 @@ impl CrashPoint {
             return want;
         }
         // This write crosses the budget boundary: allow the remainder (if
-        // any) and declare the machine dead.
-        self.crashed.store(true, Ordering::SeqCst);
+        // any) and declare the machine dead — or, for an I/O fault, spend
+        // the point so that later writes pass.
+        if self.io_error {
+            self.budget.store(i64::MAX / 2, Ordering::SeqCst);
+        } else {
+            self.crashed.store(true, Ordering::SeqCst);
+        }
         usize::try_from(before.max(0)).unwrap_or(0)
     }
 }
@@ -123,6 +146,14 @@ mod tests {
             assert_eq!(point.admit(1 << 20), 1 << 20);
         }
         assert!(!point.is_crashed());
+    }
+
+    #[test]
+    fn io_fault_tears_one_write_and_leaves_the_machine_up() {
+        let point = CrashPoint::io_error_at_byte(3);
+        assert_eq!(point.admit(5), 3);
+        assert!(!point.is_crashed());
+        assert_eq!(point.admit(1 << 20), 1 << 20, "the fault is spent");
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! The design contract, in one paragraph: a record handed to
 //! [`Log::append`] is *durable* once [`Log::commit`] (or
 //! [`Log::append_durable`]) returns — the bytes and everything appended
-//! before them survive a power cut. Nothing else is promised: a crash may
+//! before them survive a power cut. Concurrent committers share fsyncs:
+//! one of them leads a group to the disk with the log unlocked while the
+//! others stage the next (the commit protocol is in the [`log`] module
+//! docs). Nothing else is promised: a crash may
 //! tear the uncommitted tail at **any byte boundary**, including the middle
 //! of a record header. [`Log::open`] recovers exactly the durable prefix:
 //! it verifies each record's length and CRC in order and truncates the log
@@ -27,7 +30,9 @@
 //! Metrics: [`Log::register_metrics`] exposes the `durable_*` counter
 //! families (`durable_appends`, `durable_bytes`, `durable_fsyncs`,
 //! `durable_recoveries`, `durable_truncated_records`, plus
-//! `durable_snapshots`).
+//! `durable_snapshots`) and the group-commit histograms
+//! (`durable_fsync_latency_nanos`, `durable_group_size`,
+//! `durable_commit_wait_nanos`).
 //!
 //! [`TempDir`] is the workspace's tempdir guard: every test and bench rig
 //! that creates durable state routes its paths through one so an assert or

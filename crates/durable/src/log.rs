@@ -22,21 +22,49 @@
 //!
 //! ## Commit protocol
 //!
-//! [`Log::append`] assigns an LSN and stages the framed record in memory;
-//! [`Log::commit`] writes *all* staged records with one `write` + one
-//! `fsync` (group commit: concurrent appenders that stage before the
-//! flusher reaches the file ride the same fsync, and a follower whose LSN
-//! is already durable returns without touching the disk).
-//! [`Log::append_durable`] is the two fused for callers without batching
-//! ambitions.
+//! Group commit is a two-stage pipeline with one leader at a time:
+//!
+//! 1. [`Log::append`] assigns an LSN and stages the framed record in
+//!    memory under the log mutex — nothing else happens under it, so
+//!    staging never waits for the disk.
+//! 2. [`Log::commit_through`] returns at once if the LSN is already
+//!    durable. If a flush is in flight it waits on a condition variable.
+//!    Otherwise the caller becomes the **leader**: it takes *everything*
+//!    staged, **releases the mutex**, issues one `write` + one
+//!    `fdatasync` for the whole group, re-takes the mutex to publish the
+//!    group (index entries, `durable_lsn`, segment rotation) and wakes
+//!    every waiter. While group N is on its way to the disk, appenders
+//!    stage group N+1; the first waiter to wake and find its LSN still
+//!    undurable leads that group.
+//!
+//! A committer returns `Ok` only after the fsync covering its LSN has
+//! returned, so a reply released on `Ok` is never ahead of the disk.
+//! Record locations are assigned when a group is published, not when it
+//! is staged: a rotation may happen with records staged, and the new
+//! segment is based at the first *unwritten* LSN, which keeps
+//! `lsn == seg_base + index` true for every record on disk.
+//!
+//! A flush that fails is never forgotten: a power cut
+//! ([`LogError::Crashed`]) or a real I/O error fails every committer of
+//! that group and **every later operation** until the directory is
+//! reopened — otherwise the next successful flush would advance
+//! `durable_lsn` over records that never reached the disk.
+//!
+//! [`Log::commit`] makes everything appended so far durable;
+//! [`Log::append_durable`] is append + commit-through fused.
+//! [`Log::write_snapshot`] commits the history it claims the same way,
+//! then writes, fsyncs and renames the snapshot file *outside* the mutex
+//! and takes it again only to publish the floor and seal the active
+//! segment — appends and commits proceed while a snapshot is written.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
-use brmi_obs::{Counter, Registry};
+use brmi_obs::{Counter, Histogram, Registry};
 
 use crate::crash::CrashPoint;
 
@@ -143,11 +171,13 @@ struct RecordLoc {
     frame_len: u32,
 }
 
-/// A record staged by `append` but not yet flushed.
-#[derive(Debug, Clone, Copy)]
-struct StagedMeta {
-    lsn: u64,
-    loc: RecordLoc,
+/// Records staged by `append`, in LSN order: the framed bytes and each
+/// frame's length. Where they land on disk is decided when the group is
+/// published.
+#[derive(Debug, Default)]
+struct Group {
+    bytes: Vec<u8>,
+    frames: Vec<u32>,
 }
 
 #[derive(Debug)]
@@ -158,18 +188,29 @@ struct SealedSeg {
 }
 
 struct Inner {
-    dir: PathBuf,
-    config: LogConfig,
     crash: Arc<CrashPoint>,
-    /// Active segment file, positioned at its end.
-    file: File,
+    /// Active segment file, positioned at its end. Shared so the flush
+    /// leader can write to it with the mutex released; only the holder of
+    /// the flush token (`flushing`) writes to or replaces it.
+    file: Arc<File>,
     seg_base: u64,
+    /// Records and bytes of the active segment that are on disk (staged
+    /// and in-flight records are not counted).
     seg_records: u64,
     seg_bytes: u64,
     sealed: Vec<SealedSeg>,
-    /// Framed records awaiting the next commit.
-    pending: Vec<u8>,
-    pending_meta: Vec<StagedMeta>,
+    /// Records awaiting the next group: LSNs
+    /// `[next_lsn - staged.frames.len(), next_lsn)`.
+    staged: Group,
+    /// The previous group's buffers, emptied, for the next swap.
+    spare: Group,
+    /// The flush token: a leader is writing LSNs
+    /// `[durable_lsn, next_lsn - staged.frames.len())` with the mutex
+    /// released.
+    flushing: bool,
+    /// A flush failed with an I/O error: its records are lost, so every
+    /// later operation fails too (see the module docs).
+    failed: Option<(std::io::ErrorKind, String)>,
     next_lsn: u64,
     durable_lsn: u64,
     /// `next_lsn` of the latest snapshot (0 when none).
@@ -182,7 +223,17 @@ struct Inner {
 /// docs](self) for the format and the [crate docs](crate) for the
 /// durability contract.
 pub struct Log {
+    dir: PathBuf,
+    config: LogConfig,
     inner: Mutex<Inner>,
+    /// Signalled whenever a flush finishes (or fails).
+    flushed: Condvar,
+    /// Serialises [`Log::write_snapshot`] calls; never taken on the
+    /// append/commit path.
+    snapshot_gate: Mutex<()>,
+    fsync_latency: Histogram,
+    group_size: Histogram,
+    commit_wait: Histogram,
     appends: Counter,
     bytes: Counter,
     fsyncs: Counter,
@@ -197,16 +248,30 @@ impl std::fmt::Debug for Log {
     }
 }
 
-/// The IEEE CRC-32 (polynomial `0xEDB88320`), bitwise — slow and
-/// dependency-free, plenty for journal-sized records.
+/// `CRC_TABLE[b]`: the CRC register after shifting byte `b` through the
+/// reflected polynomial `0xEDB88320`.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0_u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
+
+/// The IEEE CRC-32 (polynomial `0xEDB88320`), one table lookup per byte.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFF_u32;
     for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -226,11 +291,29 @@ fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
-fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
+/// Appends `payload`'s frame to `out`; `crc` is `crc32(payload)`, taken
+/// by the caller so it can be computed outside a lock.
+fn frame_record(out: &mut Vec<u8>, payload: &[u8], crc: u32) {
     let len = u32::try_from(payload.len()).expect("record payload over 4 GiB");
     out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+impl Inner {
+    /// Fails once the crash point has struck or a flush has failed.
+    fn check_alive(&self) -> Result<(), LogError> {
+        if self.crash.is_crashed() {
+            return Err(LogError::Crashed);
+        }
+        match &self.failed {
+            Some((kind, message)) => Err(LogError::Io(std::io::Error::new(
+                *kind,
+                format!("an earlier flush failed and lost its records: {message}"),
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Parses one frame at `buf[offset..]`. `Ok(Some(payload_range))` on a
@@ -401,22 +484,29 @@ impl Log {
         let next_lsn = (seg_base + seg_records).max(snapshot_floor);
 
         let log = Log {
+            dir,
+            config,
             inner: Mutex::new(Inner {
-                dir,
-                config,
                 crash,
-                file,
+                file: Arc::new(file),
                 seg_base,
                 seg_records,
                 seg_bytes,
                 sealed,
-                pending: Vec::new(),
-                pending_meta: Vec::new(),
+                staged: Group::default(),
+                spare: Group::default(),
+                flushing: false,
+                failed: None,
                 next_lsn,
                 durable_lsn: next_lsn,
                 snapshot_floor,
                 index,
             }),
+            flushed: Condvar::new(),
+            snapshot_gate: Mutex::new(()),
+            fsync_latency: Histogram::new(),
+            group_size: Histogram::new(),
+            commit_wait: Histogram::new(),
             appends: Counter::new(),
             bytes: Counter::new(),
             fsyncs: Counter::new(),
@@ -438,48 +528,32 @@ impl Log {
 
     /// Stages `payload` as the next record and returns its LSN. The
     /// record is **not durable** until a [`Log::commit`] (or
-    /// [`Log::append_durable`]) covering that LSN returns.
+    /// [`Log::append_durable`]) covering that LSN returns. Never waits for
+    /// the disk, even while a flush is in flight.
     pub fn append(&self, payload: &[u8]) -> Result<u64, LogError> {
+        let crc = crc32(payload);
         let mut g = self.lock();
-        if g.crash.is_crashed() {
-            return Err(LogError::Crashed);
-        }
+        g.check_alive()?;
         let lsn = g.next_lsn;
         g.next_lsn += 1;
-        let offset = g.seg_bytes + g.pending.len() as u64;
-        let before = g.pending.len();
-        frame_record(&mut g.pending, payload);
-        let frame_len = (g.pending.len() - before) as u32;
-        let seg_base = g.seg_base;
-        g.pending_meta.push(StagedMeta {
-            lsn,
-            loc: RecordLoc {
-                seg_base,
-                offset,
-                frame_len,
-            },
-        });
+        frame_record(&mut g.staged.bytes, payload, crc);
+        g.staged.frames.push((HEADER_BYTES + payload.len()) as u32);
         self.appends.inc();
         Ok(lsn)
     }
 
-    /// Group commit: flushes every staged record with one write and one
-    /// fsync, then returns the new durable LSN horizon (all LSNs below it
-    /// are durable). A no-op when nothing is pending.
+    /// Group commit: makes every record appended so far durable, then
+    /// returns the durable LSN horizon (all LSNs below it are durable). A
+    /// no-op when nothing is pending.
     pub fn commit(&self) -> Result<u64, LogError> {
-        let mut g = self.lock();
-        self.flush_locked(&mut g)?;
-        Ok(g.durable_lsn)
+        Ok(self.commit_all()?.durable_lsn)
     }
 
-    /// Makes `lsn` durable; returns immediately if a concurrent committer
-    /// already flushed past it (the group-commit fast path).
+    /// Makes `lsn` durable: returns immediately if a concurrent committer
+    /// already flushed past it, waits if the flush in flight may cover it,
+    /// and otherwise leads the next group (see the [module docs](self)).
     pub fn commit_through(&self, lsn: u64) -> Result<(), LogError> {
-        let mut g = self.lock();
-        if g.durable_lsn > lsn {
-            return Ok(());
-        }
-        self.flush_locked(&mut g)
+        self.wait_durable(self.lock(), lsn.saturating_add(1)).1
     }
 
     /// [`Log::append`] + [`Log::commit_through`] fused: returns once the
@@ -492,65 +566,69 @@ impl Log {
 
     /// Writes a compacted snapshot claiming to capture all effects of
     /// LSNs `< next_lsn`, then garbage-collects segments (and older
-    /// snapshots) fully covered by it. Pending records are committed
-    /// first so the claim can only cover durable history.
+    /// snapshots) fully covered by it. Everything appended so far is
+    /// committed first so the claim can only cover durable history. The
+    /// snapshot file is written with the log mutex released: appends and
+    /// commits proceed meanwhile.
     pub fn write_snapshot(&self, next_lsn: u64, payload: &[u8]) -> Result<(), LogError> {
-        let mut g = self.lock();
-        self.flush_locked(&mut g)?;
-        assert!(
-            next_lsn <= g.durable_lsn,
-            "snapshot claims undurable lsn {} (durable horizon {})",
-            next_lsn,
-            g.durable_lsn
-        );
-        if g.crash.is_crashed() {
-            return Err(LogError::Crashed);
-        }
+        let _one_snapshot = self.snapshot_gate.lock().expect("snapshot gate poisoned");
+        let crash = {
+            let g = self.commit_all()?;
+            assert!(
+                next_lsn <= g.durable_lsn,
+                "snapshot claims undurable lsn {} (durable horizon {})",
+                next_lsn,
+                g.durable_lsn
+            );
+            Arc::clone(&g.crash)
+        };
 
         // Frame, write to a .tmp sibling, fsync, rename: the final file
         // is either absent or complete.
         let mut framed = Vec::with_capacity(HEADER_BYTES + payload.len());
-        frame_record(&mut framed, payload);
-        let final_path = snap_path(&g.dir, next_lsn);
+        frame_record(&mut framed, payload, crc32(payload));
+        let final_path = snap_path(&self.dir, next_lsn);
         let tmp_path = final_path.with_extension("snap.tmp");
         {
-            let mut tmp = File::create(&tmp_path)?;
-            self.write_crashing(&g.crash, &mut tmp, &framed)?;
-            if g.crash.is_crashed() {
-                return Err(LogError::Crashed);
-            }
+            let tmp = File::create(&tmp_path)?;
+            self.write_crashing(&crash, &tmp, &framed)?;
             tmp.sync_data()?;
             self.fsyncs.inc();
         }
         fs::rename(&tmp_path, &final_path)?;
-        self.sync_dir(&g.dir)?;
+        self.sync_dir();
         self.snapshots.inc();
-        g.snapshot_floor = g.snapshot_floor.max(next_lsn);
 
-        // Seal the active segment so future appends land past the floor
-        // and the GC below can eventually reclaim it.
-        if g.seg_records > 0 {
-            self.rotate_locked(&mut g)?;
-        }
-
-        // Reclaim segments whose every record the snapshot covers, and
-        // superseded snapshots.
-        let floor = g.snapshot_floor;
-        let mut kept = Vec::new();
-        for seg in std::mem::take(&mut g.sealed) {
-            if seg.base + seg.records <= floor {
-                let _ = fs::remove_file(&seg.path);
-                let end = seg.base + seg.records;
-                let stale: Vec<u64> = g.index.range(seg.base..end).map(|(lsn, _)| *lsn).collect();
-                for lsn in stale {
+        // Publish the floor, seal the active segment so future appends
+        // land past the floor, and unlink from the index every segment
+        // the snapshot fully covers. A leader owns the active file while
+        // it flushes, so wait it out first.
+        let (floor, reclaimed) = {
+            let mut g = self.lock();
+            while g.flushing {
+                g = self.flushed.wait(g).expect("durable log poisoned");
+            }
+            g.check_alive()?;
+            g.snapshot_floor = g.snapshot_floor.max(next_lsn);
+            if g.seg_records > 0 {
+                self.rotate_locked(&mut g)?;
+            }
+            let floor = g.snapshot_floor;
+            let (reclaimed, kept): (Vec<SealedSeg>, Vec<SealedSeg>) = std::mem::take(&mut g.sealed)
+                .into_iter()
+                .partition(|seg| seg.base + seg.records <= floor);
+            g.sealed = kept;
+            for seg in &reclaimed {
+                for lsn in seg.base..seg.base + seg.records {
                     g.index.remove(&lsn);
                 }
-            } else {
-                kept.push(seg);
             }
+            (floor, reclaimed)
+        };
+        for seg in reclaimed {
+            let _ = fs::remove_file(&seg.path);
         }
-        g.sealed = kept;
-        for entry in fs::read_dir(&g.dir)?.flatten() {
+        for entry in fs::read_dir(&self.dir)?.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             if let Some(lsn) = parse_numbered(name, "snap-", ".snap") {
@@ -567,17 +645,15 @@ impl Log {
     /// GC return `None`.
     pub fn read(&self, lsn: u64) -> Result<Option<Vec<u8>>, LogError> {
         let g = self.lock();
-        if g.crash.is_crashed() {
-            return Err(LogError::Crashed);
-        }
+        g.check_alive()?;
         let Some(loc) = g.index.get(&lsn).copied() else {
             return Ok(None);
         };
-        let mut file = File::open(seg_path(&g.dir, loc.seg_base))?;
+        let mut file = File::open(seg_path(&self.dir, loc.seg_base))?;
         file.seek(SeekFrom::Start(loc.offset))?;
         let mut frame = vec![0_u8; loc.frame_len as usize];
         file.read_exact(&mut frame)?;
-        match parse_frame(&frame, 0, g.config.max_record_bytes) {
+        match parse_frame(&frame, 0, self.config.max_record_bytes) {
             Ok(Some(range)) => Ok(Some(frame[range].to_vec())),
             _ => Err(LogError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -632,8 +708,15 @@ impl Log {
     /// Registers the log's counters with `registry` under the `durable_*`
     /// families: `durable_appends`, `durable_bytes`, `durable_fsyncs`,
     /// `durable_recoveries`, `durable_truncated_records`,
-    /// `durable_snapshots`.
+    /// `durable_snapshots` — and the group-commit histograms:
+    /// `durable_fsync_latency_nanos` (one `fdatasync` of a group),
+    /// `durable_group_size` (records per fsync) and
+    /// `durable_commit_wait_nanos` (how long a committer whose LSN was not
+    /// yet durable waited, as leader or follower).
     pub fn register_metrics(&self, registry: &Registry) {
+        registry.register_histogram("durable_fsync_latency_nanos", &[], &self.fsync_latency);
+        registry.register_histogram("durable_group_size", &[], &self.group_size);
+        registry.register_histogram("durable_commit_wait_nanos", &[], &self.commit_wait);
         registry.register_counter("durable_appends", &[], &self.appends);
         registry.register_counter("durable_bytes", &[], &self.bytes);
         registry.register_counter("durable_fsyncs", &[], &self.fsyncs);
@@ -642,17 +725,18 @@ impl Log {
         registry.register_counter("durable_snapshots", &[], &self.snapshots);
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("durable log poisoned")
     }
 
     /// Writes `buf` through the crash point: a struck budget cuts the
     /// write short at the exact admitted byte (the torn tail a power cut
-    /// leaves) and reports [`LogError::Crashed`].
+    /// leaves) and reports [`LogError::Crashed`] — or, for a point armed
+    /// with [`CrashPoint::io_error_at_byte`], a plain I/O error.
     fn write_crashing(
         &self,
         crash: &CrashPoint,
-        file: &mut File,
+        mut file: &File,
         buf: &[u8],
     ) -> Result<(), LogError> {
         let admitted = crash.admit(buf.len());
@@ -661,6 +745,9 @@ impl Log {
             self.bytes.add(admitted as u64);
         }
         if admitted < buf.len() {
+            if !crash.is_crashed() {
+                return Err(LogError::Io(std::io::Error::other("injected write error")));
+            }
             // Persist the torn prefix the way a dying kernel might, so
             // recovery faces the worst case rather than a clean cut.
             let _ = file.sync_data();
@@ -669,55 +756,119 @@ impl Log {
         Ok(())
     }
 
-    fn flush_locked(&self, g: &mut Inner) -> Result<(), LogError> {
-        if g.crash.is_crashed() {
-            return Err(LogError::Crashed);
-        }
-        if g.pending.is_empty() && g.durable_lsn == g.next_lsn {
-            return Ok(());
-        }
-        if !g.pending.is_empty() {
-            let buf = std::mem::take(&mut g.pending);
-            let metas = std::mem::take(&mut g.pending_meta);
-            let crash = Arc::clone(&g.crash);
-            let written = buf.len() as u64;
-            self.write_crashing(&crash, &mut g.file, &buf)?;
-            g.seg_bytes += written;
-            g.seg_records += metas.len() as u64;
-            for meta in metas {
-                g.index.insert(meta.lsn, meta.loc);
-            }
-        }
-        g.file.sync_data()?;
-        self.fsyncs.inc();
-        g.durable_lsn = g.next_lsn;
-        if g.seg_bytes >= g.config.segment_bytes {
-            self.rotate_locked(g)?;
-        }
-        Ok(())
+    /// Makes every record appended before the call durable; fails on a
+    /// dead log even when nothing is pending.
+    fn commit_all(&self) -> Result<MutexGuard<'_, Inner>, LogError> {
+        let g = self.lock();
+        g.check_alive()?;
+        let horizon = g.next_lsn;
+        let (g, result) = self.wait_durable(g, horizon);
+        result.map(|()| g)
     }
 
-    /// Seals the active segment (already fsynced by the caller) and
-    /// starts a fresh one based at the next LSN.
-    fn rotate_locked(&self, g: &mut Inner) -> Result<(), LogError> {
-        if g.crash.is_crashed() {
-            return Err(LogError::Crashed);
+    /// Returns once every LSN below `horizon` is durable, leading as many
+    /// groups as it takes and waiting out flushes led by others.
+    fn wait_durable<'a>(
+        &'a self,
+        mut g: MutexGuard<'a, Inner>,
+        horizon: u64,
+    ) -> (MutexGuard<'a, Inner>, Result<(), LogError>) {
+        if g.durable_lsn >= horizon {
+            return (g, Ok(()));
         }
-        debug_assert!(g.pending.is_empty(), "rotate with staged records");
-        let new_base = g.next_lsn;
+        let entered = Instant::now();
+        let result = loop {
+            if g.durable_lsn >= horizon {
+                break Ok(());
+            }
+            if let Err(err) = g.check_alive() {
+                break Err(err);
+            }
+            if g.flushing {
+                g = self.flushed.wait(g).expect("durable log poisoned");
+            } else if g.staged.frames.is_empty() {
+                // Everything ever appended is durable: `horizon` lies
+                // past the end of the log.
+                break Ok(());
+            } else {
+                g = self.lead_group(g);
+            }
+        };
+        self.commit_wait.record_nanos(entered.elapsed());
+        (g, result)
+    }
+
+    /// Leads one group: takes everything staged, writes and fsyncs it
+    /// with the mutex released, then publishes it and wakes the waiters.
+    /// A failure is left in `crash`/`failed` for `check_alive` to report.
+    fn lead_group<'a>(&'a self, mut g: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
+        let spare = std::mem::take(&mut g.spare);
+        let mut group = std::mem::replace(&mut g.staged, spare);
+        g.flushing = true;
+        let file = Arc::clone(&g.file);
+        let crash = Arc::clone(&g.crash);
+        drop(g);
+
+        let written = self
+            .write_crashing(&crash, &file, &group.bytes)
+            .and_then(|()| {
+                let started = Instant::now();
+                file.sync_data()?;
+                self.fsync_latency.record_nanos(started.elapsed());
+                self.fsyncs.inc();
+                Ok(())
+            });
+        self.group_size.record(group.frames.len() as u64);
+
+        let mut g = self.lock();
+        g.flushing = false;
+        let published = written.and_then(|()| {
+            for &frame_len in &group.frames {
+                let loc = RecordLoc {
+                    seg_base: g.seg_base,
+                    offset: g.seg_bytes,
+                    frame_len,
+                };
+                let lsn = g.durable_lsn;
+                g.index.insert(lsn, loc);
+                g.durable_lsn += 1;
+                g.seg_records += 1;
+                g.seg_bytes += u64::from(frame_len);
+            }
+            if g.seg_bytes >= self.config.segment_bytes {
+                self.rotate_locked(&mut g)?;
+            }
+            Ok(())
+        });
+        if let Err(LogError::Io(err)) = published {
+            g.failed.get_or_insert((err.kind(), err.to_string()));
+        }
+        group.bytes.clear();
+        group.frames.clear();
+        g.spare = group;
+        self.flushed.notify_all();
+        g
+    }
+
+    /// Seals the active segment (already fsynced) and starts a fresh one
+    /// based at the first unwritten LSN — staged records land there. The
+    /// caller holds the mutex with no flush in flight.
+    fn rotate_locked(&self, g: &mut Inner) -> Result<(), LogError> {
+        g.check_alive()?;
+        debug_assert!(!g.flushing, "rotate under a leader's feet");
+        let new_base = g.durable_lsn;
         let new_file = OpenOptions::new()
             .create(true)
             .truncate(true)
             .write(true)
             .read(true)
-            .open(seg_path(&g.dir, new_base))?;
-        self.sync_dir(&g.dir)?;
-        let old = std::mem::replace(&mut g.file, new_file);
-        drop(old);
+            .open(seg_path(&self.dir, new_base))?;
+        self.sync_dir();
+        g.file = Arc::new(new_file);
         let sealed = SealedSeg {
             base: g.seg_base,
             records: g.seg_records,
-            path: seg_path(&g.dir, g.seg_base),
+            path: seg_path(&self.dir, g.seg_base),
         };
         g.sealed.push(sealed);
         g.seg_base = new_base;
@@ -726,13 +877,12 @@ impl Log {
         Ok(())
     }
 
-    fn sync_dir(&self, dir: &Path) -> Result<(), LogError> {
-        // Directory fsync so renames/creates survive the cut too; best
-        // effort on filesystems that refuse to open directories.
-        if let Ok(handle) = File::open(dir) {
+    /// Directory fsync so renames/creates survive the cut too; best
+    /// effort on filesystems that refuse to open directories.
+    fn sync_dir(&self) {
+        if let Ok(handle) = File::open(&self.dir) {
             let _ = handle.sync_data();
         }
-        Ok(())
     }
 }
 
@@ -756,4 +906,37 @@ fn count_records(path: &Path, max_record_bytes: u32) -> u64 {
         }
     }
     count
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The bitwise definition the table is derived from.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFF_u32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_is_the_ieee_polynomial_already_on_disk() {
+        // The standard check value: logs written before the table
+        // existed must still verify.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        let data: Vec<u8> = (0..1000_u32).map(|i| (i * 31 % 251) as u8).collect();
+        for len in [1, 7, 8, 9, 255, 256, 1000] {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
 }

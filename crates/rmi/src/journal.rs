@@ -28,12 +28,16 @@
 //!
 //! Every [`DurableOptions::snapshot_every`] executions the journal
 //! quiesces keyed dispatch (a write acquisition of the quiesce lock all
-//! keyed executions hold for read), captures the server's state — reply
-//! cache (already shrunk by client ack watermarks), registry, leases,
-//! export-id horizon, registered [`DurableState`]s — and hands it to
-//! [`Log::write_snapshot`], which garbage-collects every fully covered
-//! segment. Acked replies are excluded by construction, so client acks
-//! are what ultimately drive segment reclamation.
+//! keyed executions hold for read) just long enough to capture the
+//! server's state — reply cache (already shrunk by client ack
+//! watermarks), registry, leases, export-id horizon, registered
+//! [`DurableState`]s — together with the LSN it is the state *of*. Keyed
+//! traffic then resumes while the capture is encoded and handed to
+//! [`Log::write_snapshot`], which writes it beside the running log and
+//! garbage-collects every fully covered segment; executions journaled
+//! meanwhile sit above the snapshot's floor and replay over it. Acked
+//! replies are excluded by construction, so client acks are what
+//! ultimately drive segment reclamation.
 //!
 //! ## Known limitations (documented, tested around)
 //!
@@ -47,7 +51,7 @@
 //!   horizon in the snapshot guarantees freshness (no aliasing), not
 //!   stable numbering.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -113,6 +117,9 @@ pub struct DurableReport {
 
 thread_local! {
     static SUPPRESS_DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// Encode buffer for [`Journal::executed`], reused across a dispatch
+    /// thread's requests.
+    static RECORD_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// True while the current thread is inside a suppressed scope — a keyed
@@ -198,6 +205,15 @@ const TAG_LEASE_RENEWED: u8 = 6;
 const TAG_LEASE_CLEANED: u8 = 7;
 const TAG_LEASE_EXPIRED: u8 = 8;
 
+/// The encoding of [`JournalRecord::Executed`], from borrowed parts — the
+/// hot path journals without building (or cloning into) a record.
+fn encode_executed(enc: &mut Encoder, key: &IdemKey, request: &Frame, reply: &Frame) {
+    enc.put_u8(TAG_EXECUTED);
+    key.encode(enc);
+    request.encode(enc);
+    reply.encode(enc);
+}
+
 impl WireCodec for JournalRecord {
     fn encode(&self, enc: &mut Encoder) {
         match self {
@@ -205,12 +221,7 @@ impl WireCodec for JournalRecord {
                 key,
                 request,
                 reply,
-            } => {
-                enc.put_u8(TAG_EXECUTED);
-                key.encode(enc);
-                request.encode(enc);
-                reply.encode(enc);
-            }
+            } => encode_executed(enc, key, request, reply),
             JournalRecord::Bind { name, id } => {
                 enc.put_u8(TAG_BIND);
                 enc.put_str(name);
@@ -475,12 +486,13 @@ impl Journal {
         request: &Frame,
         reply: &Frame,
     ) -> Result<(), LogError> {
-        let record = JournalRecord::Executed {
-            key,
-            request: request.clone(),
-            reply: reply.clone(),
-        };
-        self.log.append_durable(&record.to_wire_bytes())?;
+        RECORD_BUF.with(|buf| {
+            let mut enc = Encoder::with_buffer(buf.take());
+            encode_executed(&mut enc, &key, request, reply);
+            let appended = self.log.append_durable(enc.as_slice());
+            buf.replace(enc.into_bytes());
+            appended
+        })?;
         self.executions_since_snapshot
             .fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -514,24 +526,31 @@ impl Journal {
         self.snapshotting.store(false, Ordering::SeqCst);
     }
 
-    /// Quiesces keyed execution and writes a compacted snapshot of
-    /// `server`'s durable state, garbage-collecting covered log segments.
+    /// Writes a compacted snapshot of `server`'s durable state and
+    /// garbage-collects the log segments it covers. Keyed execution is
+    /// quiesced only while the state is captured; encoding it and writing
+    /// the file happen with traffic running.
     ///
     /// # Errors
     ///
     /// [`LogError`] from the underlying log (including an injected
     /// crash).
     pub fn snapshot_now(&self, server: &crate::RmiServer) -> Result<(), LogError> {
-        let _pause = self.quiesce.write();
-        // Read the floor BEFORE capturing: any record a concurrent
-        // unkeyed mutation appends after this point gets an LSN at or
-        // above the floor and will replay over the snapshot — safe,
-        // because those records apply as idempotent upserts.
-        let floor = self.log.next_lsn();
-        let state = server.capture_snapshot_state();
-        self.log.write_snapshot(floor, &state.to_wire_bytes())?;
-        self.executions_since_snapshot.store(0, Ordering::Relaxed);
-        Ok(())
+        let (floor, state) = {
+            let _pause = self.quiesce.write();
+            // No keyed execution is in flight, and each one that finished
+            // made its record durable before releasing the lock, so the
+            // capture is exactly the state as of `floor`. Read the floor
+            // BEFORE capturing: any record a concurrent unkeyed mutation
+            // appends after this point gets an LSN at or above the floor
+            // and will replay over the snapshot — safe, because those
+            // records apply as idempotent upserts.
+            let floor = self.log.next_lsn();
+            let state = server.capture_snapshot_state();
+            self.executions_since_snapshot.store(0, Ordering::Relaxed);
+            (floor, state)
+        };
+        self.log.write_snapshot(floor, &state.to_wire_bytes())
     }
 }
 

@@ -81,9 +81,21 @@ struct ClientEntry {
 struct CacheState {
     clients: HashMap<u64, ClientEntry>,
     /// Completion order of `Done` slots, for LRU eviction. Entries whose
-    /// slot was already released by the ack watermark are skipped lazily.
+    /// slot was already released by the ack watermark are skipped lazily,
+    /// and compacted away before they outnumber the live ones by more
+    /// than the capacity (see [`ReplyCache::complete`]).
     order: VecDeque<(u64, u64)>,
     done: usize,
+}
+
+impl CacheState {
+    /// True while `(client, seq)` still holds a completed reply — false
+    /// once the ack watermark or the LRU released it.
+    fn is_done(&self, client: u64, seq: u64) -> bool {
+        self.clients
+            .get(&client)
+            .is_some_and(|entry| matches!(entry.slots.get(&seq), Some(Slot::Done(_))))
+    }
 }
 
 /// Bounded per-client reply cache — see the [module docs](self).
@@ -250,18 +262,27 @@ impl ReplyCache {
                 let Some((client, seq)) = state.order.pop_front() else {
                     break;
                 };
-                let Some(victim) = state.clients.get_mut(&client) else {
-                    continue;
-                };
                 // Acks may have released this slot already — the order
                 // queue is lazy, so just skip stale pairs.
-                if seq < victim.acked || !matches!(victim.slots.get(&seq), Some(Slot::Done(_))) {
+                if !state.is_done(client, seq) {
                     continue;
                 }
+                let victim = state.clients.get_mut(&client).expect("done slot's client");
                 victim.slots.remove(&seq);
                 victim.evicted_floor = victim.evicted_floor.max(seq + 1);
                 state.done -= 1;
                 self.evictions.inc();
+            }
+            // A well-behaved client acks every reply, so the loop above
+            // never runs and nothing else pops the queue: drop the stale
+            // pairs whenever they outnumber what the LRU may retain. Live
+            // pairs keep their relative order, so eviction order does not
+            // change, and the sweep is paid for by the `capacity` pushes
+            // it takes to get here again.
+            if state.order.len() > 2 * self.config.capacity {
+                let mut order = std::mem::take(&mut state.order);
+                order.retain(|&(client, seq)| state.is_done(client, seq));
+                state.order = order;
             }
         }
         drop(state);
@@ -486,6 +507,65 @@ mod tests {
             other => panic!("expected replay, got {other:?}"),
         }
         assert_eq!(cache.executions(), 3, "nothing ever executed twice");
+    }
+
+    #[test]
+    fn acked_completions_do_not_grow_the_order_queue() {
+        const CAPACITY: usize = 64;
+        let cache = ReplyCache::new(ReplyCacheConfig { capacity: CAPACITY });
+        // The well-behaved client: every request acks all earlier ones,
+        // so the LRU never has to evict — and never pops the queue.
+        for seq in 0..50_000 {
+            let k = key(1, seq, seq);
+            assert!(matches!(cache.begin(k), Begin::Execute));
+            cache.complete(k, reply(seq as i64));
+        }
+        assert_eq!(cache.retained(), 1);
+        assert_eq!(cache.evictions(), 0);
+        let queued = cache.state.lock().unwrap().order.len();
+        assert!(queued <= 2 * CAPACITY, "order queue holds {queued} pairs");
+    }
+
+    #[test]
+    fn lru_order_survives_queue_compaction() {
+        const CAPACITY: usize = 4;
+        let cache = ReplyCache::new(ReplyCacheConfig { capacity: CAPACITY });
+        // Client 2 parks one early reply and never acks it: it is the
+        // oldest completion from here on.
+        assert!(matches!(cache.begin(key(2, 0, 0)), Begin::Execute));
+        cache.complete(key(2, 0, 0), reply(-1));
+        // Client 1 acks as it goes, leaving stale pairs behind until the
+        // queue is compacted (several times over).
+        for seq in 0..100 {
+            let k = key(1, seq, seq);
+            assert!(matches!(cache.begin(k), Begin::Execute));
+            cache.complete(k, reply(seq as i64));
+        }
+        assert_eq!(cache.evictions(), 0);
+        assert!(cache.state.lock().unwrap().order.len() <= 2 * CAPACITY);
+        // Client 3 fills the cache without acking: eviction must still
+        // start with client 2's reply, then go in completion order.
+        for seq in 0..CAPACITY as u64 {
+            let k = key(3, seq, 0);
+            assert!(matches!(cache.begin(k), Begin::Execute));
+            cache.complete(k, reply(seq as i64));
+        }
+        // Retained before: client 2's, client 1's last, then 4 more.
+        assert_eq!(cache.evictions(), 2);
+        match cache.begin(key(2, 0, 0)) {
+            Begin::Replay(Frame::Error(env)) => assert_eq!(env.kind, "reply-evicted"),
+            other => panic!("oldest completion must go first, got {other:?}"),
+        }
+        match cache.begin(key(1, 99, 99)) {
+            Begin::Replay(Frame::Error(env)) => assert_eq!(env.kind, "reply-evicted"),
+            other => panic!("second-oldest completion must go next, got {other:?}"),
+        }
+        for seq in 0..CAPACITY as u64 {
+            match cache.begin(key(3, seq, 0)) {
+                Begin::Replay(frame) => assert_eq!(frame, reply(seq as i64)),
+                other => panic!("newest completions must survive, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -245,6 +245,81 @@ fn snapshots_compact_the_journal_and_restore_app_state() {
 }
 
 #[test]
+fn snapshots_written_under_keyed_traffic_recover_exactly() {
+    const CLIENTS: u64 = 4;
+    const HITS: u64 = 100;
+    let dir = TempDir::new("snapshot-race");
+    let options = DurableOptions {
+        log: LogConfig {
+            segment_bytes: 1024,
+            ..LogConfig::default()
+        },
+        snapshot_every: 8,
+    };
+    // Each client's last reply, to be asked for again after the restart.
+    let last_replies: Vec<Frame> = {
+        let (server, counter, id) = setup();
+        server.attach_durable(dir.path(), options).expect("attach");
+        let start = std::sync::Barrier::new(CLIENTS as usize);
+        let last_replies = std::thread::scope(|scope| {
+            let clients: Vec<_> = (1..=CLIENTS)
+                .map(|client_id| {
+                    let (server, start) = (&server, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut last = None;
+                        for seq in 0..HITS {
+                            // Acking as it goes, so snapshots stay small
+                            // and segments get reclaimed under traffic.
+                            last = Some(server.handle(Frame::KeyedCall {
+                                key: IdemKey {
+                                    client_id,
+                                    seq,
+                                    acked: seq,
+                                },
+                                target: id,
+                                method: "hit".into(),
+                                args: vec![],
+                            }));
+                        }
+                        last.expect("at least one hit")
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .map(|c| c.join().expect("client panicked"))
+                .collect()
+        });
+        assert_eq!(counter.value(), (CLIENTS * HITS) as i64);
+        let stats = server.journal().expect("journal").stats();
+        assert!(stats.snapshots >= 10, "cadence kept up: {stats:?}");
+        last_replies
+    };
+
+    // A snapshot is the state as of its floor and nothing later: an
+    // execution captured *and* replayed would count twice.
+    let (server, counter, id) = setup();
+    let report = server.attach_durable(dir.path(), options).expect("recover");
+    assert!(report.restored_snapshot);
+    assert_eq!(counter.value(), (CLIENTS * HITS) as i64, "{report:?}");
+    for (client_id, reply) in (1..=CLIENTS).zip(last_replies) {
+        let again = server.handle(Frame::KeyedCall {
+            key: IdemKey {
+                client_id,
+                seq: HITS - 1,
+                acked: HITS - 1,
+            },
+            target: id,
+            method: "hit".into(),
+            args: vec![],
+        });
+        assert_eq!(again, reply, "client {client_id}'s last reply replays");
+    }
+    assert_eq!(counter.value(), (CLIENTS * HITS) as i64);
+}
+
+#[test]
 fn crash_mid_workload_never_double_executes() {
     let dir = TempDir::new("crash-mid");
     {
