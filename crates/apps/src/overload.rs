@@ -297,11 +297,11 @@ impl NullOrigin {
 impl RequestHandler for NullOrigin {
     fn handle(&self, frame: Frame) -> Frame {
         match frame {
-            Frame::BatchCall(request) => Frame::BatchReturn(NullOrigin::respond(&request)),
+            Frame::BatchCall(call) => Frame::BatchReturn(NullOrigin::respond(&call.request)),
             Frame::SuperBatchCall(batches) => Frame::SuperBatchReturn(
                 batches
                     .iter()
-                    .map(|request| Ok(NullOrigin::respond(request)))
+                    .map(|member| Ok(NullOrigin::respond(&member.request)))
                     .collect(),
             ),
             _ => Frame::Released,
@@ -310,19 +310,22 @@ impl RequestHandler for NullOrigin {
 }
 
 fn noop_batch() -> Frame {
-    Frame::BatchCall(BatchRequest {
-        session: None,
-        calls: vec![InvocationData {
-            seq: CallSeq(0),
-            target: Target::Remote(ObjectId(1)),
-            method: "noop".into(),
-            args: vec![],
-            cursor: None,
-            opens_cursor: false,
-        }],
-        policy: PolicySpec::Abort,
-        keep_session: false,
-    })
+    Frame::BatchCall(
+        BatchRequest {
+            session: None,
+            calls: vec![InvocationData {
+                seq: CallSeq(0),
+                target: Target::Remote(ObjectId(1)),
+                method: "noop".into(),
+                args: vec![],
+                cursor: None,
+                opens_cursor: false,
+            }],
+            policy: PolicySpec::Abort,
+            keep_session: false,
+        }
+        .into(),
+    )
 }
 
 /// Drives a fresh adaptive [`BatchRelay`] per sweep point with

@@ -312,6 +312,7 @@ fn join_callers(
 /// Panics when a caller thread itself panics.
 pub fn run_mux_stress(config: &MuxStressConfig) -> Result<MuxStressReport, RemoteError> {
     let noop_call = |target: ObjectId| Frame::Call {
+        key: None,
         target,
         method: "noop".into(),
         args: vec![],

@@ -16,8 +16,8 @@
 //! is re-sent (the origin may or may not have executed the segment) and the
 //! failure surfaces through [`PendingFlush::join`] or the per-call futures.
 //! Over a keyed connection ([`Connection::new_keyed`]) the same flush is
-//! stamped with an idempotency key and sent as a `KeyedBatchCall`, which
-//! retry-aware transports may transparently re-send after a reconnect — the
+//! stamped with an idempotency key (the same `BatchCall` frame, its `key`
+//! set), which retry-aware transports may transparently re-send after a reconnect — the
 //! origin's reply cache guarantees the segment still executes **exactly
 //! once**, with duplicates answered from the cached reply. `Batch` itself is
 //! oblivious to the mode; keying and retries compose underneath

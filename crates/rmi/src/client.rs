@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use brmi_obs::Tracer;
 use brmi_transport::Transport;
 use brmi_wire::invocation::{BatchRequest, BatchResponse, SessionId};
-use brmi_wire::protocol::{registry_methods, Frame, IdemKey, KeyedBatch};
+use brmi_wire::protocol::{registry_methods, BatchCall, Frame, IdemKey};
 use brmi_wire::{FromValue, ObjectId, RemoteError, RemoteErrorKind, Value};
 
 /// Process-wide allocator for [`KeySource`] client ids, so every key source
@@ -159,19 +159,20 @@ impl Connection {
         self.keys.as_ref()
     }
 
-    /// Sends one keyed request and acknowledges its seq as soon as the
-    /// round trip resolves — on success, on an in-band error (the error IS
-    /// the delivered reply), and on final transport failure (the transport
-    /// already gave up retrying; nobody will ask for the cached reply
-    /// again, so holding it would only stall the watermark).
-    fn keyed_request(
-        &self,
-        keys: &KeySource,
-        seq: u64,
-        frame: Frame,
-    ) -> Result<Frame, RemoteError> {
-        let result = self.transport.request(frame);
-        keys.acknowledge(seq);
+    /// Sends the request `build` makes of this connection's next
+    /// idempotency key (`None` on an unkeyed connection). A key's seq is
+    /// acknowledged as soon as the round trip resolves — on success, on an
+    /// in-band error (the error IS the delivered reply), and on final
+    /// transport failure (the transport already gave up retrying; nobody
+    /// will ask for the cached reply again, so holding it would only stall
+    /// the watermark).
+    fn request(&self, build: impl FnOnce(Option<IdemKey>) -> Frame) -> Result<Frame, RemoteError> {
+        let Some(keys) = &self.keys else {
+            return self.transport.request(build(None));
+        };
+        let key = keys.next();
+        let result = self.transport.request(build(Some(key)));
+        keys.acknowledge(key.seq);
         result
     }
 
@@ -187,26 +188,12 @@ impl Connection {
         method: &str,
         args: Vec<Value>,
     ) -> Result<Value, RemoteError> {
-        let reply = match &self.keys {
-            Some(keys) => {
-                let key = keys.next();
-                self.keyed_request(
-                    keys,
-                    key.seq,
-                    Frame::KeyedCall {
-                        key,
-                        target,
-                        method: method.to_owned(),
-                        args,
-                    },
-                )?
-            }
-            None => self.transport.request(Frame::Call {
-                target,
-                method: method.to_owned(),
-                args,
-            })?,
-        };
+        let reply = self.request(|key| Frame::Call {
+            key,
+            target,
+            method: method.to_owned(),
+            args,
+        })?;
         match reply {
             Frame::Return(value) => Ok(value),
             Frame::Error(env) => Err(RemoteError::from(&env)),
@@ -229,20 +216,10 @@ impl Connection {
             (tracer, ctx, tracer.now())
         });
         let ctx = trace.as_ref().map(|(_, ctx, _)| *ctx);
-        let reply = match &self.keys {
-            Some(keys) => {
-                let key = keys.next();
-                self.keyed_request(
-                    keys,
-                    key.seq,
-                    Frame::KeyedBatchCall(KeyedBatch { key, request }).with_trace(ctx),
-                )?
-            }
-            None => self
-                .transport
-                .request(Frame::BatchCall(request).with_trace(ctx))?,
-        };
-        let reply = reply.split_trace().1;
+        let reply = self
+            .request(|key| Frame::BatchCall(BatchCall { key, request }).with_trace(ctx))?
+            .split_trace()
+            .1;
         if let Some((tracer, ctx, start)) = trace {
             tracer.record(ctx, "client.flush", start, tracer.now());
         }
@@ -458,12 +435,16 @@ mod tests {
     impl RequestHandler for SevenHandler {
         fn handle(&self, frame: Frame) -> Frame {
             match frame {
-                Frame::Call { method, .. } if method == "seven" => Frame::Return(Value::I32(7)),
-                Frame::Call { .. } => Frame::Error(brmi_wire::invocation::ErrorEnvelope {
-                    kind: "no-such-method".into(),
-                    exception: "no-such-method".into(),
-                    message: "only seven".into(),
-                }),
+                Frame::Call {
+                    key: None, method, ..
+                } if method == "seven" => Frame::Return(Value::I32(7)),
+                Frame::Call { key: None, .. } => {
+                    Frame::Error(brmi_wire::invocation::ErrorEnvelope {
+                        kind: "no-such-method".into(),
+                        exception: "no-such-method".into(),
+                        message: "only seven".into(),
+                    })
+                }
                 Frame::ReleaseSession(_) => Frame::Released,
                 // Deliberately wrong reply to exercise the protocol check.
                 Frame::BatchCall(_) => Frame::Return(Value::Null),
@@ -545,12 +526,12 @@ mod tests {
     impl RequestHandler for KeyRecorder {
         fn handle(&self, frame: Frame) -> Frame {
             match frame {
-                Frame::KeyedCall { key, .. } => {
+                Frame::Call { key: Some(key), .. } => {
                     self.seen.lock().unwrap().push(key);
                     Frame::Return(Value::I32(7))
                 }
-                Frame::KeyedBatchCall(batch) => {
-                    self.seen.lock().unwrap().push(batch.key);
+                Frame::BatchCall(BatchCall { key: Some(key), .. }) => {
+                    self.seen.lock().unwrap().push(key);
                     Frame::BatchReturn(Default::default())
                 }
                 _ => Frame::Error(brmi_wire::invocation::ErrorEnvelope {
@@ -595,8 +576,8 @@ mod tests {
     fn plain_connection_stays_unkeyed() {
         let conn = connection();
         assert!(conn.key_source().is_none());
-        // SevenHandler answers plain `Frame::Call`s — a keyed frame would
-        // fall through to its error arm.
+        // SevenHandler answers only unkeyed `Frame::Call`s — a keyed one
+        // would fall through to its catch-all arm.
         assert_eq!(
             conn.call(ObjectId(1), "seven", vec![]).unwrap(),
             Value::I32(7)

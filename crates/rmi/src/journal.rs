@@ -10,9 +10,9 @@
 //!   re-executes the inner frame (rebuilding application state) and seeds
 //!   the reply cache with the journaled reply, so a client retrying
 //!   through the outage replays the original answer — never a second
-//!   execution. The journaled frame is the *unkeyed* inner request
-//!   ([`Frame::Call`] / [`Frame::BatchCall`]), so replay cannot recurse
-//!   into the keyed path.
+//!   execution. The journaled frame is the bare request the key named
+//!   (a [`Frame::Call`] / [`Frame::BatchCall`] whose own `key` is `None`),
+//!   so replay cannot recurse into the keyed path.
 //! * **Registry mutations** (`Bind`/`Rebind`/`Unbind`) — applied as
 //!   idempotent upserts on replay.
 //! * **DGC lease events** (`LeaseGranted`/`LeaseRenewed`/`LeaseCleaned`/
@@ -139,6 +139,8 @@ pub(crate) fn with_suppressed<R>(f: impl FnOnce() -> R) -> R {
 
 /// One durable record. Encoded with the ordinary wire codec — no new
 /// frame tags; frames inside records reuse [`Frame`]'s own encoding.
+// Records exist as values only while recovery decodes them: nothing to box for.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A keyed request executed: the inner (unkeyed) request frame and
@@ -146,7 +148,8 @@ pub enum JournalRecord {
     Executed {
         /// The idempotency key the reply is cached under.
         key: IdemKey,
-        /// The inner request ([`Frame::Call`] or [`Frame::BatchCall`]).
+        /// The bare request the key named: a [`Frame::Call`] or
+        /// [`Frame::BatchCall`] with `key: None`.
         request: Frame,
         /// The reply frame released to the client.
         reply: Frame,
@@ -600,6 +603,7 @@ mod tests {
                     acked: 7,
                 },
                 request: Frame::Call {
+                    key: None,
                     target: ObjectId(4),
                     method: "transfer".into(),
                     args: vec![Value::Str("acct".into()), Value::F64(12.5)],

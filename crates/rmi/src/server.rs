@@ -20,7 +20,7 @@ use brmi_transport::clock::Clock;
 use brmi_transport::RequestHandler;
 use brmi_wire::codec::WireCodec;
 use brmi_wire::invocation::{BatchRequestRef, BatchResponse, ErrorEnvelope, SessionId};
-use brmi_wire::protocol::{Frame, FrameRef, IdemKey, KeyedBatchRef, TraceCtx};
+use brmi_wire::protocol::{BatchCallRef, Frame, FrameRef, IdemKey};
 use brmi_wire::{ObjectId, RemoteError, RemoteErrorKind, ToValue, Value, ValueRef};
 use parking_lot::RwLock;
 
@@ -162,23 +162,6 @@ impl RmiServer {
         *self.tracer.write() = Some(tracer);
     }
 
-    /// Executes a traced request: unwrap, time the inner dispatch as an
-    /// `origin.execute` span, re-wrap the reply with the origin's span so
-    /// the caller can close the loop.
-    fn handle_traced(&self, ctx: TraceCtx, run: impl FnOnce() -> Frame) -> Frame {
-        let tracer = self.tracer.read().clone();
-        match tracer {
-            Some(tracer) => {
-                let span = tracer.child(ctx);
-                let start = tracer.now();
-                let reply = run();
-                tracer.record(span, "origin.execute", start, tracer.now());
-                reply.with_trace(Some(span))
-            }
-            None => run(),
-        }
-    }
-
     /// Configures simulated cost charged per loopback call (a call made
     /// through a stub that was marshalled back to its own server).
     pub fn set_loopback_sim(&self, clock: Arc<dyn Clock>, cost: Duration) {
@@ -301,77 +284,122 @@ impl RmiServer {
 
     /// Runs one borrowed batch request through the installed batch handler.
     fn invoke_batch_ref(&self, request: BatchRequestRef<'_>) -> Result<BatchResponse, RemoteError> {
-        let handler = self.batch_handler.read().clone();
-        match handler {
-            Some(handler) => handler.invoke_batch(&self.strong(), request),
-            None => Err(RemoteError::new(
+        let handler = self.batch_handler.read().clone().ok_or_else(|| {
+            RemoteError::new(
                 RemoteErrorKind::Protocol,
                 "server has no batch support installed",
-            )),
-        }
+            )
+        })?;
+        handler.invoke_batch(&self.strong(), request)
     }
 
-    /// Runs a borrowed batch request through the installed batch handler.
-    fn handle_batch(&self, request: BatchRequestRef<'_>) -> Frame {
-        match self.invoke_batch_ref(request) {
-            Ok(response) => Frame::BatchReturn(response),
-            Err(err) => Frame::Error(ErrorEnvelope::from(&err)),
-        }
-    }
-
-    /// Runs a relay super-batch: every inner batch executes independently,
-    /// exactly as if it had arrived in its own round trip, so the edge tier
-    /// coalescing traffic from many clients changes no per-batch semantics
-    /// (sessions, policies and exception cursors are all per inner batch).
-    /// One failing inner batch yields an error entry; the others still run.
-    fn handle_super_batch(&self, batches: Vec<BatchRequestRef<'_>>) -> Frame {
-        let replies = batches
-            .into_iter()
-            .map(|request| {
-                self.invoke_batch_ref(request)
-                    .map_err(|err| ErrorEnvelope::from(&err))
-            })
-            .collect();
-        Frame::SuperBatchReturn(replies)
-    }
-
-    /// Runs one keyed batch under the reply cache: first sighting executes
-    /// and records the reply; a re-sent key replays it without executing.
-    /// The reply is normalized to the frame a bare batch would get
-    /// ([`Frame::BatchReturn`] or [`Frame::Error`]), so a key retried as a
-    /// plain [`Frame::KeyedBatchCall`] and the same key arriving inside a
-    /// [`Frame::KeyedSuperBatchCall`] (the relay regrouped it) share one
-    /// cache slot.
-    fn handle_keyed_batch(&self, key: IdemKey, request: BatchRequestRef<'_>) -> Frame {
-        match self.journal() {
-            Some(journal) => {
-                self.keyed_durable(&journal, key, Frame::BatchCall(request.into_owned()))
+    /// Runs one request under its idempotency key, if it carries one: the
+    /// key comes off, and the bare request it named executes under the
+    /// reply cache — first sighting executes and records the reply, a
+    /// re-sent key replays it without executing — journaled before the
+    /// reply escapes when the origin is durable. An unkeyed request just
+    /// executes.
+    fn execute_keyed(&self, mut request: FrameRef<'_>) -> Frame {
+        let key = match &mut request {
+            FrameRef::Call { key, .. } | FrameRef::BatchCall(BatchCallRef { key, .. }) => {
+                key.take()
             }
+            // A super-batch has no key of its own; each member's is
+            // peeled when `execute` hands that member back here.
+            _ => None,
+        };
+        let Some(key) = key else {
+            return self.execute(request);
+        };
+        match self.journal() {
+            Some(journal) => self.keyed_durable(&journal, key, request.into_owned()),
             None => self
                 .reply_cache
-                .execute_guarded(key, || self.handle_batch(request)),
+                .execute_guarded(key, || self.execute(request)),
         }
     }
 
-    /// Runs a keyed super-batch: every inner batch goes through the reply
-    /// cache under its *own* key (they come from different downstream
-    /// clients), then the per-batch frames are folded back into the
-    /// ordinary super-batch reply shape.
-    fn handle_keyed_super_batch(&self, batches: Vec<(IdemKey, BatchRequestRef<'_>)>) -> Frame {
-        let replies = batches
-            .into_iter()
-            .map(
-                |(key, request)| match self.handle_keyed_batch(key, request) {
-                    Frame::BatchReturn(response) => Ok(response),
-                    Frame::Error(env) => Err(env),
-                    other => Err(ErrorEnvelope::from(&RemoteError::new(
-                        RemoteErrorKind::Protocol,
-                        format!("unexpected cached batch reply: {}", other.kind_name()),
-                    ))),
-                },
-            )
-            .collect();
-        Frame::SuperBatchReturn(replies)
+    /// The one request match: executes a bare (key already peeled) request.
+    fn execute(&self, request: FrameRef<'_>) -> Frame {
+        match request {
+            FrameRef::Call {
+                target,
+                method,
+                args,
+                ..
+            } => reply_frame(
+                self.dispatch_call_ref(target, method, &args)
+                    .map(Frame::Return),
+            ),
+            FrameRef::BatchCall(call) => {
+                reply_frame(self.invoke_batch_ref(call.request).map(Frame::BatchReturn))
+            }
+            // A relay super-batch: every member executes independently,
+            // exactly as if it had arrived in its own round trip — under
+            // its *own* key when it has one (the members come from
+            // different downstream clients) — so the edge tier coalescing
+            // traffic changes no per-batch semantics (sessions, policies
+            // and exception cursors are all per member). One failing member
+            // yields an error entry; the others still run. Because a keyed
+            // member's cached reply is the frame a lone batch would get, a
+            // key retried alone and the same key regrouped into a
+            // super-batch share one cache slot.
+            FrameRef::SuperBatchCall(members) => Frame::SuperBatchReturn(
+                members
+                    .into_iter()
+                    .map(
+                        |member| match self.execute_keyed(FrameRef::BatchCall(member)) {
+                            Frame::BatchReturn(response) => Ok(response),
+                            Frame::Error(env) => Err(env),
+                            other => Err(ErrorEnvelope::from(&RemoteError::new(
+                                RemoteErrorKind::Protocol,
+                                format!("unexpected cached batch reply: {}", other.kind_name()),
+                            ))),
+                        },
+                    )
+                    .collect(),
+            ),
+            // Control frames (and, unreachably, an envelope nested inside
+            // the one `handle_ref` peeled).
+            other => self.handle_control(other.into_owned()),
+        }
+    }
+
+    /// Serves the frames with no per-call payload: session release and
+    /// the DGC lease protocol. Anything else is not a request.
+    fn handle_control(&self, frame: Frame) -> Frame {
+        match frame {
+            Frame::ReleaseSession(session) => {
+                if let Some(handler) = self.batch_handler.read().clone() {
+                    handler.release_session(session);
+                }
+                Frame::Released
+            }
+            Frame::Dirty { ids, lease_millis } => self.serve_dgc(|dgc| {
+                let granted = dgc.dirty(&ids, Duration::from_millis(lease_millis));
+                Frame::Leased {
+                    lease_millis: granted.as_millis() as u64,
+                }
+            }),
+            Frame::Clean { ids } => self.serve_dgc(|dgc| {
+                for id in dgc.clean(&ids) {
+                    self.table.unexport(id);
+                }
+                Frame::Cleaned
+            }),
+            other => protocol_error(format!("unexpected request frame: {}", other.kind_name())),
+        }
+    }
+
+    /// Answers one DGC frame — a protocol error without DGC enabled — and
+    /// sweeps expired leases, as every `dirty`/`clean` does.
+    fn serve_dgc(&self, serve: impl FnOnce(&DgcServer) -> Frame) -> Frame {
+        let reply = match self.dgc.read().as_ref() {
+            Some(dgc) => serve(dgc),
+            None => protocol_error("server has no distributed GC enabled"),
+        };
+        self.dgc_sweep();
+        reply
     }
 
     /// The attached durable journal, if any.
@@ -554,14 +582,16 @@ impl RmiServer {
     /// journal `(key, request, reply)` durably before the reply escapes,
     /// then (outside the lock) write a compacted snapshot if one is due.
     ///
-    /// `request` is the *inner*, unkeyed frame ([`Frame::Call`] /
-    /// [`Frame::BatchCall`]): recovery replays it directly through
-    /// [`RequestHandler::handle`] without re-entering this path.
+    /// `request` is the bare request the key named (`key: None`), owned
+    /// because the journal outlives the frame buffer: it is executed from
+    /// a borrowed view and journaled from the same copy, and recovery
+    /// replays it through [`RequestHandler::handle`] without re-entering
+    /// this path.
     fn keyed_durable(&self, journal: &Arc<Journal>, key: IdemKey, request: Frame) -> Frame {
         let reply = {
             let _quiesce = journal.begin_keyed();
             self.reply_cache.execute_guarded(key, || {
-                let reply = with_suppressed(|| self.handle(request.clone()));
+                let reply = with_suppressed(|| self.execute(request.to_ref()));
                 match journal.executed(key, &request, &reply) {
                     Ok(()) => reply,
                     // The execution happened but is not durable: the
@@ -569,9 +599,9 @@ impl RmiServer {
                     // error (never cached as the journaled reply) keeps
                     // the client retrying until the recovered origin
                     // gives the authoritative answer.
-                    Err(err) => Frame::Error(ErrorEnvelope::from(&RemoteError::transport(
-                        format!("origin crashed before the reply became durable: {err}"),
-                    ))),
+                    Err(err) => reply_frame(Err(RemoteError::transport(format!(
+                        "origin crashed before the reply became durable: {err}"
+                    )))),
                 }
             })
         };
@@ -607,6 +637,15 @@ impl RmiServer {
     }
 }
 
+/// A dispatch outcome as the frame that answers it.
+fn reply_frame(outcome: Result<Frame, RemoteError>) -> Frame {
+    outcome.unwrap_or_else(|err| Frame::Error(ErrorEnvelope::from(&err)))
+}
+
+fn protocol_error(message: impl Into<String>) -> Frame {
+    reply_frame(Err(RemoteError::new(RemoteErrorKind::Protocol, message)))
+}
+
 /// Maps an undecodable (but intact — the CRC matched) journal payload to
 /// a [`LogError`]. This is a version-skew or software bug, not a torn
 /// write, so it surfaces instead of being truncated.
@@ -626,150 +665,32 @@ impl std::fmt::Debug for RmiServer {
 }
 
 impl RequestHandler for RmiServer {
+    /// The owned entry point (journal recovery, the codec-skipping in-proc
+    /// mode, direct tests) is a view of the borrowed one: it pays a
+    /// borrowed-mirror allocation per call, which is fine off the wire
+    /// path — socket transports decode the borrowed form directly.
     fn handle(&self, frame: Frame) -> Frame {
-        match frame {
-            Frame::Call {
-                target,
-                method,
-                args,
-            } => match self.dispatch_call(target, &method, args) {
-                Ok(value) => Frame::Return(value),
-                Err(err) => Frame::Error(ErrorEnvelope::from(&err)),
-            },
-            // The owned entry point pays a borrowed-mirror allocation per
-            // call; fine for this compatibility path (codec-skipping
-            // in-proc mode, direct tests) — wire transports dispatch
-            // through `handle_ref`, which decodes the borrowed form
-            // directly.
-            Frame::BatchCall(request) => self.handle_batch(request.to_ref()),
-            Frame::SuperBatchCall(batches) => {
-                self.handle_super_batch(batches.iter().map(|b| b.to_ref()).collect())
-            }
-            Frame::KeyedCall {
-                key,
-                target,
-                method,
-                args,
-            } => match self.journal() {
-                Some(journal) => self.keyed_durable(
-                    &journal,
-                    key,
-                    Frame::Call {
-                        target,
-                        method,
-                        args,
-                    },
-                ),
-                None => self.reply_cache.execute_guarded(key, || {
-                    match self.dispatch_call(target, &method, args) {
-                        Ok(value) => Frame::Return(value),
-                        Err(err) => Frame::Error(ErrorEnvelope::from(&err)),
-                    }
-                }),
-            },
-            Frame::KeyedBatchCall(batch) => {
-                self.handle_keyed_batch(batch.key, batch.request.to_ref())
-            }
-            Frame::KeyedSuperBatchCall(batches) => self.handle_keyed_super_batch(
-                batches
-                    .iter()
-                    .map(|b| (b.key, b.request.to_ref()))
-                    .collect(),
-            ),
-            Frame::ReleaseSession(session) => {
-                if let Some(handler) = self.batch_handler.read().clone() {
-                    handler.release_session(session);
-                }
-                Frame::Released
-            }
-            Frame::Dirty { ids, lease_millis } => {
-                let reply = match self.dgc.read().as_ref() {
-                    Some(dgc) => {
-                        let granted = dgc.dirty(&ids, Duration::from_millis(lease_millis));
-                        Frame::Leased {
-                            lease_millis: granted.as_millis() as u64,
-                        }
-                    }
-                    None => Frame::Error(ErrorEnvelope::from(&RemoteError::new(
-                        RemoteErrorKind::Protocol,
-                        "server has no distributed GC enabled",
-                    ))),
-                };
-                self.dgc_sweep();
-                reply
-            }
-            Frame::Clean { ids } => {
-                let reply = match self.dgc.read().as_ref() {
-                    Some(dgc) => {
-                        for id in dgc.clean(&ids) {
-                            self.table.unexport(id);
-                        }
-                        Frame::Cleaned
-                    }
-                    None => Frame::Error(ErrorEnvelope::from(&RemoteError::new(
-                        RemoteErrorKind::Protocol,
-                        "server has no distributed GC enabled",
-                    ))),
-                };
-                self.dgc_sweep();
-                reply
-            }
-            Frame::Traced { ctx, inner } => self.handle_traced(ctx, || self.handle(*inner)),
-            other => Frame::Error(ErrorEnvelope::from(&RemoteError::new(
-                RemoteErrorKind::Protocol,
-                format!("unexpected request frame: {}", other.kind_name()),
-            ))),
-        }
+        self.handle_ref(frame.to_ref())
     }
 
-    /// The zero-copy dispatch path: payload-carrying frames (calls and
-    /// batches) are dispatched straight from the borrowed view, so decoding
-    /// a request performs no per-`Str`/`Bytes` heap copy. Control frames
-    /// fall through to the owned path.
+    /// The dispatch path: the trace envelope comes off once, then the key,
+    /// then the bare request is matched once. Payload-carrying requests
+    /// (calls and batches) are dispatched straight from the borrowed view,
+    /// so decoding a request performs no per-`Str`/`Bytes` heap copy.
+    ///
+    /// A traced request is timed as an `origin.execute` span and its reply
+    /// re-wrapped with the origin's span, so the caller can close the loop.
     fn handle_ref(&self, frame: FrameRef<'_>) -> Frame {
-        match frame {
-            FrameRef::Call {
-                target,
-                method,
-                args,
-            } => match self.dispatch_call_ref(target, method, &args) {
-                Ok(value) => Frame::Return(value),
-                Err(err) => Frame::Error(ErrorEnvelope::from(&err)),
-            },
-            FrameRef::BatchCall(request) => self.handle_batch(request),
-            FrameRef::SuperBatchCall(batches) => self.handle_super_batch(batches),
-            FrameRef::KeyedCall {
-                key,
-                target,
-                method,
-                args,
-            } => match self.journal() {
-                Some(journal) => self.keyed_durable(
-                    &journal,
-                    key,
-                    Frame::Call {
-                        target,
-                        method: method.to_owned(),
-                        args: args.iter().map(|arg| arg.to_value()).collect(),
-                    },
-                ),
-                None => self.reply_cache.execute_guarded(key, || {
-                    match self.dispatch_call_ref(target, method, &args) {
-                        Ok(value) => Frame::Return(value),
-                        Err(err) => Frame::Error(ErrorEnvelope::from(&err)),
-                    }
-                }),
-            },
-            FrameRef::KeyedBatchCall(batch) => self.handle_keyed_batch(batch.key, batch.request),
-            FrameRef::KeyedSuperBatchCall(batches) => self.handle_keyed_super_batch(
-                batches
-                    .into_iter()
-                    .map(|KeyedBatchRef { key, request }| (key, request))
-                    .collect(),
-            ),
-            FrameRef::Traced { ctx, inner } => self.handle_traced(ctx, || self.handle_ref(*inner)),
-            FrameRef::Other(frame) => self.handle(frame),
-        }
+        let (ctx, request) = frame.split_trace();
+        let traced = ctx.and_then(|ctx| Some((ctx, self.tracer.read().clone()?)));
+        let Some((ctx, tracer)) = traced else {
+            return self.execute_keyed(request);
+        };
+        let span = tracer.child(ctx);
+        let start = tracer.now();
+        let reply = self.execute_keyed(request);
+        tracer.record(span, "origin.execute", start, tracer.now());
+        reply.with_trace(Some(span))
     }
 }
 
@@ -879,6 +800,7 @@ mod tests {
         let server = RmiServer::new();
         let id = server.export(counter());
         let reply = server.handle(Frame::Call {
+            key: None,
             target: id,
             method: "echo".into(),
             args: vec![Value::Str("x".into())],
@@ -886,6 +808,7 @@ mod tests {
         assert_eq!(reply, Frame::Return(Value::Str("x".into())));
 
         let reply = server.handle(Frame::Call {
+            key: None,
             target: id,
             method: "fail".into(),
             args: vec![],
@@ -899,12 +822,15 @@ mod tests {
     #[test]
     fn batch_frame_without_handler_is_protocol_error() {
         let server = RmiServer::new();
-        let reply = server.handle(Frame::BatchCall(BatchRequest {
-            session: None,
-            calls: vec![],
-            policy: Default::default(),
-            keep_session: false,
-        }));
+        let reply = server.handle(Frame::BatchCall(
+            BatchRequest {
+                session: None,
+                calls: vec![],
+                policy: Default::default(),
+                keep_session: false,
+            }
+            .into(),
+        ));
         match reply {
             Frame::Error(env) => assert_eq!(env.kind, "protocol"),
             other => panic!("expected error frame, got {other:?}"),
@@ -920,7 +846,10 @@ mod tests {
             policy: Default::default(),
             keep_session: false,
         };
-        let reply = server.handle(Frame::SuperBatchCall(vec![batch.clone(), batch]));
+        let reply = server.handle(Frame::SuperBatchCall(vec![
+            batch.clone().into(),
+            batch.into(),
+        ]));
         match reply {
             Frame::SuperBatchReturn(replies) => {
                 assert_eq!(replies.len(), 2);
@@ -981,8 +910,8 @@ mod tests {
             acked: 0,
         };
         let call = |key| {
-            server.handle(Frame::KeyedCall {
-                key,
+            server.handle(Frame::Call {
+                key: Some(key),
                 target: id,
                 method: "hit".into(),
                 args: vec![],
@@ -1014,8 +943,8 @@ mod tests {
             acked: 0,
         };
         let call = || {
-            server.handle(Frame::KeyedCall {
-                key,
+            server.handle(Frame::Call {
+                key: Some(key),
                 target: id,
                 method: "fail".into(),
                 args: vec![],
@@ -1029,7 +958,7 @@ mod tests {
 
     #[test]
     fn keyed_batch_and_super_batch_share_cache_slots() {
-        use brmi_wire::protocol::{IdemKey, KeyedBatch};
+        use brmi_wire::protocol::{BatchCall, IdemKey};
         let server = RmiServer::new();
         // No batch handler installed: every execution is a protocol error,
         // which is still a cacheable reply — what matters here is the
@@ -1045,16 +974,16 @@ mod tests {
             policy: Default::default(),
             keep_session: false,
         };
-        let direct = server.handle(Frame::KeyedBatchCall(KeyedBatch {
-            key,
+        let direct = server.handle(Frame::BatchCall(BatchCall {
+            key: Some(key),
             request: batch.clone(),
         }));
         assert!(matches!(direct, Frame::Error(_)));
         assert_eq!(server.reply_cache().executions(), 1);
         // The same key arriving inside a relay super-batch replays the
         // recorded reply as that inner batch's error entry.
-        let reply = server.handle(Frame::KeyedSuperBatchCall(vec![KeyedBatch {
-            key,
+        let reply = server.handle(Frame::SuperBatchCall(vec![BatchCall {
+            key: Some(key),
             request: batch,
         }]));
         match reply {

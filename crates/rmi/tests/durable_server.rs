@@ -93,8 +93,8 @@ fn key(seq: u64) -> IdemKey {
 }
 
 fn hit(server: &RmiServer, target: ObjectId, seq: u64) -> Frame {
-    server.handle(Frame::KeyedCall {
-        key: key(seq),
+    server.handle(Frame::Call {
+        key: Some(key(seq)),
         target,
         method: "hit".into(),
         args: vec![],
@@ -271,12 +271,12 @@ fn snapshots_written_under_keyed_traffic_recover_exactly() {
                         for seq in 0..HITS {
                             // Acking as it goes, so snapshots stay small
                             // and segments get reclaimed under traffic.
-                            last = Some(server.handle(Frame::KeyedCall {
-                                key: IdemKey {
+                            last = Some(server.handle(Frame::Call {
+                                key: Some(IdemKey {
                                     client_id,
                                     seq,
                                     acked: seq,
-                                },
+                                }),
                                 target: id,
                                 method: "hit".into(),
                                 args: vec![],
@@ -304,12 +304,12 @@ fn snapshots_written_under_keyed_traffic_recover_exactly() {
     assert!(report.restored_snapshot);
     assert_eq!(counter.value(), (CLIENTS * HITS) as i64, "{report:?}");
     for (client_id, reply) in (1..=CLIENTS).zip(last_replies) {
-        let again = server.handle(Frame::KeyedCall {
-            key: IdemKey {
+        let again = server.handle(Frame::Call {
+            key: Some(IdemKey {
                 client_id,
                 seq: HITS - 1,
                 acked: HITS - 1,
-            },
+            }),
             target: id,
             method: "hit".into(),
             args: vec![],

@@ -208,6 +208,7 @@ mod tests {
 
     fn call() -> Frame {
         Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "noop".into(),
             args: vec![],

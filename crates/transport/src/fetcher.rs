@@ -459,7 +459,7 @@ impl BatchFetcher {
 
     /// Serves one cacheable batch: cache hits, coalesced joins, and one
     /// probe batch (run on this caller's thread) for everything else.
-    fn serve_cacheable(&self, request: BatchRequest, keys: Vec<Vec<u8>>) -> Frame {
+    fn serve_cacheable(&self, request: &BatchRequest, keys: Vec<Vec<u8>>) -> Frame {
         self.stats.cacheable_batches.inc();
         let now = self.time.now();
         let mut plans = Vec::with_capacity(request.calls.len());
@@ -577,12 +577,15 @@ impl BatchFetcher {
                 opens_cursor: false,
             })
             .collect();
-        let reply = self.inner.handle(Frame::BatchCall(BatchRequest {
-            session: None,
-            calls,
-            policy: PolicySpec::Continue,
-            keep_session: false,
-        }));
+        let reply = self.inner.handle(Frame::BatchCall(
+            BatchRequest {
+                session: None,
+                calls,
+                policy: PolicySpec::Continue,
+                keep_session: false,
+            }
+            .into(),
+        ));
 
         let results: Vec<Result<Value, ErrorEnvelope>> = match reply {
             Frame::BatchReturn(response) => {
@@ -676,114 +679,42 @@ impl std::fmt::Debug for BatchFetcher {
 
 impl RequestHandler for BatchFetcher {
     fn handle(&self, frame: Frame) -> Frame {
-        match frame {
-            Frame::BatchCall(request) => {
-                self.stats.batches.inc();
-                match self.cacheable_keys(&request) {
-                    Some(keys) => self.serve_cacheable(request, keys),
-                    None => {
-                        self.note_writes(&request.calls);
-                        self.inner.handle(Frame::BatchCall(request))
-                    }
-                }
-            }
-            Frame::SuperBatchCall(batches) => {
-                for batch in &batches {
-                    self.note_writes(&batch.calls);
-                }
-                self.inner.handle(Frame::SuperBatchCall(batches))
-            }
-            // Keyed (retry-safe) frames bypass the read cache entirely —
-            // their contract is decided by the origin's reply cache, and a
-            // cache answer here would leave the origin with no record to
-            // replay — but their writes must still bump epochs *before*
-            // forwarding, or a retried keyed write could be overtaken by a
-            // stale read served from this tier.
-            Frame::KeyedBatchCall(batch) => {
-                self.note_writes(&batch.request.calls);
-                self.inner.handle(Frame::KeyedBatchCall(batch))
-            }
-            Frame::KeyedSuperBatchCall(batches) => {
-                for batch in &batches {
-                    self.note_writes(&batch.request.calls);
-                }
-                self.inner.handle(Frame::KeyedSuperBatchCall(batches))
-            }
-            Frame::KeyedCall {
-                key,
-                target,
-                method,
-                args,
-            } => {
-                if !self.registry.is_read_only(&method) {
-                    self.bump_epochs(&[target], false);
-                }
-                self.inner.handle(Frame::KeyedCall {
-                    key,
-                    target,
-                    method,
-                    args,
-                })
-            }
-            Frame::Call {
-                target,
-                method,
-                args,
-            } => {
-                if !self.registry.is_read_only(&method) {
-                    self.bump_epochs(&[target], false);
-                }
-                self.inner.handle(Frame::Call {
-                    target,
-                    method,
-                    args,
-                })
-            }
-            // The trace envelope is transparent to the caching tier: serve
-            // or watch the inner frame exactly as if it arrived bare, but
-            // keep the context on everything forwarded (so the relay's
-            // span chain survives this tier) and on every reply.
-            Frame::Traced { ctx, inner } => match *inner {
-                Frame::BatchCall(request) => {
+        // The trace envelope is transparent to the caching tier: serve or
+        // watch the request exactly as if it arrived bare, but keep the
+        // context on everything forwarded (so the relay's span chain
+        // survives this tier) and on every reply.
+        let (ctx, request) = frame.split_trace();
+        match &request {
+            Frame::BatchCall(call) => {
+                // Keyed (retry-safe) batches bypass the read cache
+                // entirely — their contract is decided by the origin's
+                // reply cache, and a cache answer here would leave the
+                // origin with no record to replay.
+                if call.key.is_none() {
                     self.stats.batches.inc();
-                    match self.cacheable_keys(&request) {
+                    if let Some(keys) = self.cacheable_keys(&call.request) {
                         // A cache-served read never reaches the relay; the
                         // reply is re-enveloped so the client still sees
                         // its context.
-                        Some(keys) => self.serve_cacheable(request, keys).with_trace(Some(ctx)),
-                        None => {
-                            self.note_writes(&request.calls);
-                            self.inner
-                                .handle(Frame::BatchCall(request).with_trace(Some(ctx)))
-                        }
+                        return self.serve_cacheable(&call.request, keys).with_trace(ctx);
                     }
                 }
-                inner => {
-                    match &inner {
-                        Frame::SuperBatchCall(batches) => {
-                            for batch in batches {
-                                self.note_writes(&batch.calls);
-                            }
-                        }
-                        Frame::KeyedBatchCall(batch) => self.note_writes(&batch.request.calls),
-                        Frame::KeyedSuperBatchCall(batches) => {
-                            for batch in batches {
-                                self.note_writes(&batch.request.calls);
-                            }
-                        }
-                        Frame::KeyedCall { target, method, .. }
-                        | Frame::Call { target, method, .. }
-                            if !self.registry.is_read_only(method) =>
-                        {
-                            self.bump_epochs(&[*target], false);
-                        }
-                        _ => {}
-                    }
-                    self.inner.handle(inner.with_trace(Some(ctx)))
+                self.note_writes(&call.request.calls);
+            }
+            Frame::SuperBatchCall(members) => {
+                for member in members {
+                    self.note_writes(&member.request.calls);
                 }
-            },
-            other => self.inner.handle(other),
+            }
+            Frame::Call { target, method, .. } if !self.registry.is_read_only(method) => {
+                self.bump_epochs(&[*target], false);
+            }
+            _ => {}
         }
+        // Forwarded, keyed or not: its writes bumped the epochs *before*
+        // it leaves, or a retried keyed write could be overtaken by a
+        // stale read served from this tier.
+        self.inner.handle(request.with_trace(ctx))
     }
 }
 
@@ -792,6 +723,7 @@ mod tests {
     use super::*;
     use crate::clock::{Clock, VirtualClock};
     use brmi_wire::invocation::Arg;
+    use brmi_wire::protocol::BatchCall;
     use brmi_wire::{InterfaceMeta, MethodMeta};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
@@ -883,12 +815,10 @@ mod tests {
 
     impl RequestHandler for Origin {
         fn handle(&self, frame: Frame) -> Frame {
-            let request = match frame {
-                Frame::BatchCall(request) => request,
-                // This double has no reply cache; it just executes the
-                // inner request (key handling is the RMI server's job).
-                Frame::KeyedBatchCall(batch) => batch.request,
-                _ => return Frame::Released,
+            // This double has no reply cache; it executes keyed batches
+            // like unkeyed ones (key handling is the RMI server's job).
+            let Frame::BatchCall(BatchCall { request, .. }) = frame else {
+                return Frame::Released;
             };
             if self
                 .fail_first
@@ -967,12 +897,15 @@ mod tests {
     }
 
     fn batch(calls: Vec<InvocationData>) -> Frame {
-        Frame::BatchCall(BatchRequest {
-            session: None,
-            calls,
-            policy: PolicySpec::Abort,
-            keep_session: false,
-        })
+        Frame::BatchCall(
+            BatchRequest {
+                session: None,
+                calls,
+                policy: PolicySpec::Abort,
+                keep_session: false,
+            }
+            .into(),
+        )
     }
 
     fn expect_ok_values(frame: Frame) -> Vec<Value> {
@@ -1242,7 +1175,7 @@ mod tests {
         struct FirstCallFails;
         impl RequestHandler for FirstCallFails {
             fn handle(&self, frame: Frame) -> Frame {
-                let Frame::BatchCall(request) = frame else {
+                let Frame::BatchCall(BatchCall { request, .. }) = frame else {
                     return Frame::Released;
                 };
                 let slots = request
@@ -1291,23 +1224,29 @@ mod tests {
         let origin = Origin::new();
         let fetcher = fetcher_over(&origin, ReadCachePolicy::default());
         // Session continuation.
-        let with_session = Frame::BatchCall(BatchRequest {
-            session: None,
-            calls: vec![get_call(0, 1, 1)],
-            policy: PolicySpec::Abort,
-            keep_session: true,
-        });
+        let with_session = Frame::BatchCall(
+            BatchRequest {
+                session: None,
+                calls: vec![get_call(0, 1, 1)],
+                policy: PolicySpec::Abort,
+                keep_session: true,
+            }
+            .into(),
+        );
         fetcher.handle(with_session);
         // Custom policy.
-        let custom = Frame::BatchCall(BatchRequest {
-            session: None,
-            calls: vec![get_call(0, 1, 1)],
-            policy: PolicySpec::Custom {
-                default: brmi_wire::invocation::ExceptionAction::Break,
-                rules: vec![],
-            },
-            keep_session: false,
-        });
+        let custom = Frame::BatchCall(
+            BatchRequest {
+                session: None,
+                calls: vec![get_call(0, 1, 1)],
+                policy: PolicySpec::Custom {
+                    default: brmi_wire::invocation::ExceptionAction::Break,
+                    rules: vec![],
+                },
+                keep_session: false,
+            }
+            .into(),
+        );
         fetcher.handle(custom);
         // Remote-returning read.
         let remote_read = batch(vec![InvocationData {
@@ -1336,16 +1275,16 @@ mod tests {
 
     #[test]
     fn keyed_writes_invalidate_but_are_never_served_from_cache() {
-        use brmi_wire::protocol::{IdemKey, KeyedBatch};
+        use brmi_wire::protocol::IdemKey;
         let origin = Origin::new();
         let fetcher = fetcher_over(&origin, ReadCachePolicy::default());
         let keyed = |seq: u64, calls: Vec<InvocationData>| {
-            Frame::KeyedBatchCall(KeyedBatch {
-                key: IdemKey {
+            Frame::BatchCall(BatchCall {
+                key: Some(IdemKey {
                     client_id: 1,
                     seq,
                     acked: 0,
-                },
+                }),
                 request: BatchRequest {
                     session: None,
                     calls,
@@ -1378,6 +1317,7 @@ mod tests {
         let fetcher = fetcher_over(&origin, ReadCachePolicy::default());
         expect_ok_values(fetcher.handle(batch(vec![get_call(0, 1, 5)])));
         fetcher.handle(Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "put".into(),
             args: vec![],

@@ -108,6 +108,7 @@ mod tests {
         let transport = InProcTransport::new(Arc::new(EchoHandler));
         let reply = transport
             .request(Frame::Call {
+                key: None,
                 target: ObjectId(1),
                 method: "echo".into(),
                 args: vec![Value::I32(7), Value::Str("x".into())],
@@ -126,6 +127,7 @@ mod tests {
         let transport = InProcTransport::without_codec(Arc::new(EchoHandler));
         let reply = transport
             .request(Frame::Call {
+                key: None,
                 target: ObjectId(1),
                 method: "echo".into(),
                 args: vec![],

@@ -229,19 +229,14 @@ pub fn frame_remote_refs(frame: &Frame) -> usize {
         // DGC ids identify leases, not marshalled stubs: no per-reference
         // marshalling cost.
         Frame::Dirty { .. } | Frame::Leased { .. } | Frame::Clean { .. } | Frame::Cleaned => 0,
-        Frame::BatchCall(req) => request_refs(req),
+        // Idempotency keys carry no stubs; only the payloads count.
+        Frame::BatchCall(call) => request_refs(&call.request),
         Frame::BatchReturn(resp) => response_refs(resp),
-        Frame::SuperBatchCall(batches) => batches.iter().map(request_refs).sum(),
+        Frame::SuperBatchCall(members) => members.iter().map(|m| request_refs(&m.request)).sum(),
         Frame::SuperBatchReturn(replies) => replies
             .iter()
             .map(|reply| reply.as_ref().map_or(0, response_refs))
             .sum(),
-        // Idempotency keys carry no stubs; only the payloads count.
-        Frame::KeyedCall { args, .. } => args.iter().map(Value::count_remote_refs).sum(),
-        Frame::KeyedBatchCall(batch) => request_refs(&batch.request),
-        Frame::KeyedSuperBatchCall(batches) => {
-            batches.iter().map(|b| request_refs(&b.request)).sum()
-        }
         // The trace envelope is payload-neutral: only the inner frame's
         // references cost marshalling.
         Frame::Traced { inner, .. } => frame_remote_refs(inner),
@@ -273,6 +268,7 @@ mod tests {
     #[test]
     fn call_frame_ref_count() {
         let frame = Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "m".into(),
             args: vec![
@@ -295,22 +291,25 @@ mod tests {
 
     #[test]
     fn batch_frames_ref_count() {
-        let req = Frame::BatchCall(BatchRequest {
-            session: None,
-            calls: vec![InvocationData {
-                seq: CallSeq(0),
-                target: Target::Remote(ObjectId(1)),
-                method: "m".into(),
-                args: vec![
-                    Arg::Value(Value::RemoteRef(ObjectId(4))),
-                    Arg::Result(CallSeq(0)),
-                ],
-                cursor: None,
-                opens_cursor: false,
-            }],
-            policy: PolicySpec::Abort,
-            keep_session: false,
-        });
+        let req = Frame::BatchCall(
+            BatchRequest {
+                session: None,
+                calls: vec![InvocationData {
+                    seq: CallSeq(0),
+                    target: Target::Remote(ObjectId(1)),
+                    method: "m".into(),
+                    args: vec![
+                        Arg::Value(Value::RemoteRef(ObjectId(4))),
+                        Arg::Result(CallSeq(0)),
+                    ],
+                    cursor: None,
+                    opens_cursor: false,
+                }],
+                policy: PolicySpec::Abort,
+                keep_session: false,
+            }
+            .into(),
+        );
         assert_eq!(frame_remote_refs(&req), 1);
 
         let resp = Frame::BatchReturn(BatchResponse {

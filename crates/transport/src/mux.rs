@@ -50,9 +50,11 @@
 //!   were lost. With method metadata attached
 //!   ([`MuxClient::connect_with_meta`]) each failure names the lost method,
 //!   and declared read-only calls carry [`RETRY_SAFE_EXCEPTION`] so the
-//!   application knows which losses it may retry by hand.
-//! * **Retry-safe exactly-once visible** (keyed frames,
-//!   [`Frame::is_retry_safe`]): wrap the client in a
+//!   application knows which losses it may retry by hand. The label is
+//!   derived from the request inside any trace envelope, and covers plain
+//!   calls, batches and relay super-batches alike.
+//! * **Retry-safe exactly-once visible** (requests carrying an
+//!   idempotency key, [`Frame::is_retry_safe`]): wrap the client in a
 //!   [`RetryTransport`](crate::retry::RetryTransport) whose connect
 //!   factory dials a fresh `MuxClient`. A dead client is then replaced
 //!   transparently and the keyed frame re-sent verbatim — safe even when
@@ -108,11 +110,14 @@ struct CallLabel {
 }
 
 impl CallLabel {
-    /// Derives a label from a request frame. Keyed frames are retry-safe
-    /// by construction; for unkeyed ones read-safety requires a method
-    /// registry, and without one every call is conservatively a write.
+    /// Derives a label from a request frame, looking through its trace
+    /// envelope. Keyed requests are retry-safe by construction
+    /// ([`Frame::is_retry_safe`]); an unkeyed one is only when every call
+    /// in it is a declared read, which requires a method registry —
+    /// without one every call is conservatively a write.
     fn of(frame: &Frame, registry: Option<&MethodRegistry>) -> Option<CallLabel> {
-        let read_only = |method: &str| registry.is_some_and(|r| r.is_read_only(method));
+        let keyed = frame.is_retry_safe();
+        let safe = |method: &str| keyed || registry.is_some_and(|r| r.is_read_only(method));
         let batch_method = |request: &brmi_wire::invocation::BatchRequest| {
             let first = request.calls.first()?;
             Some(if request.calls.len() == 1 {
@@ -121,32 +126,26 @@ impl CallLabel {
                 format!("{} (+{} more)", first.method, request.calls.len() - 1)
             })
         };
-        match frame {
-            Frame::Call { method, .. } => Some(CallLabel {
-                method: method.clone(),
-                retry_safe: read_only(method),
-            }),
-            Frame::BatchCall(request) => Some(CallLabel {
-                method: batch_method(request)?,
-                retry_safe: request.calls.iter().all(|call| read_only(&call.method)),
-            }),
-            Frame::KeyedCall { method, .. } => Some(CallLabel {
-                method: method.clone(),
-                retry_safe: true,
-            }),
-            Frame::KeyedBatchCall(batch) => Some(CallLabel {
-                method: batch_method(&batch.request)?,
-                retry_safe: true,
-            }),
-            Frame::KeyedSuperBatchCall(batches) => {
-                let first = batch_method(&batches.first()?.request)?;
-                Some(CallLabel {
-                    method: format!("{first} (super-batch of {})", batches.len()),
-                    retry_safe: true,
-                })
-            }
-            _ => None,
-        }
+        let (method, retry_safe) = match frame.bare() {
+            Frame::Call { method, .. } => (method.clone(), safe(method)),
+            Frame::BatchCall(call) => (
+                batch_method(&call.request)?,
+                call.request.calls.iter().all(|c| safe(&c.method)),
+            ),
+            Frame::SuperBatchCall(members) => (
+                format!(
+                    "{} (super-batch of {})",
+                    batch_method(&members.first()?.request)?,
+                    members.len()
+                ),
+                members
+                    .iter()
+                    .flat_map(|member| &member.request.calls)
+                    .all(|c| safe(&c.method)),
+            ),
+            _ => return None,
+        };
+        Some(CallLabel { method, retry_safe })
     }
 }
 
@@ -649,6 +648,7 @@ fn reader_loop(mut stream: TcpStream, shared: &MuxShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brmi_wire::protocol::{BatchCall, IdemKey, TraceCtx};
     use brmi_wire::value::Value;
     use brmi_wire::ObjectId;
     use std::io::Write;
@@ -656,6 +656,7 @@ mod tests {
 
     fn call_frame(tag: i32) -> Frame {
         Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "echo".into(),
             args: vec![Value::I32(tag)],
@@ -842,45 +843,99 @@ mod tests {
             methods: METHODS,
         };
 
-        let (listener, addr) = fake_server();
-        let server = std::thread::spawn(move || {
-            let (mut peer, _) = listener.accept().unwrap();
-            // Swallow both requests, then drop the connection unanswered.
-            read_envelope(&mut peer).unwrap();
-            read_envelope(&mut peer).unwrap();
-        });
-        let registry = Arc::new(MethodRegistry::of(&[&META]));
-        let client = MuxClient::connect_with_meta(addr, registry).unwrap();
         let frame_for = |method: &str| Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: method.into(),
             args: vec![],
         };
-        let callers: Vec<_> = ["get", "put"]
-            .map(|method| {
+        let batch_of = |method: &str| BatchCall {
+            key: None,
+            request: brmi_wire::invocation::BatchRequest {
+                session: None,
+                calls: vec![brmi_wire::invocation::InvocationData {
+                    seq: brmi_wire::invocation::CallSeq(0),
+                    target: brmi_wire::invocation::Target::Remote(ObjectId(1)),
+                    method: method.into(),
+                    args: vec![],
+                    cursor: None,
+                    opens_cursor: false,
+                }],
+                policy: Default::default(),
+                keep_session: false,
+            },
+        };
+        // (request, the method text its error must quote, retry-safe?)
+        let lost = [
+            (frame_for("get"), "get", true),
+            (frame_for("put"), "put", false),
+            // The label looks through the trace envelope: a keyed write is
+            // retry-safe traced or not.
+            (
+                Frame::Call {
+                    key: Some(IdemKey {
+                        client_id: 1,
+                        seq: 0,
+                        acked: 0,
+                    }),
+                    target: ObjectId(1),
+                    method: "put".into(),
+                    args: vec![],
+                }
+                .with_trace(Some(TraceCtx {
+                    trace_id: 1,
+                    span_id: 1,
+                    parent: 0,
+                })),
+                "put",
+                true,
+            ),
+            // An unkeyed super-batch is labelled too, and is read-safe only
+            // when every call of every member is.
+            (
+                Frame::SuperBatchCall(vec![batch_of("put"), batch_of("get")]),
+                "put (super-batch of 2)",
+                false,
+            ),
+            (
+                Frame::SuperBatchCall(vec![batch_of("get"), batch_of("get")]),
+                "get (super-batch of 2)",
+                true,
+            ),
+        ];
+
+        let (listener, addr) = fake_server();
+        let in_flight = lost.len();
+        let server = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().unwrap();
+            // Swallow every request, then drop the connection unanswered.
+            for _ in 0..in_flight {
+                read_envelope(&mut peer).unwrap();
+            }
+        });
+        let registry = Arc::new(MethodRegistry::of(&[&META]));
+        let client = MuxClient::connect_with_meta(addr, registry).unwrap();
+        let callers: Vec<_> = lost
+            .map(|(frame, method, retry_safe)| {
                 let client = Arc::clone(&client);
-                let frame = frame_for(method);
-                std::thread::spawn(move || (method, client.request(frame)))
+                std::thread::spawn(move || (method, retry_safe, client.request(frame)))
             })
             .into_iter()
             .collect();
         for handle in callers {
-            let (method, result) = handle.join().unwrap();
+            let (method, retry_safe, result) = handle.join().unwrap();
             let err = result.unwrap_err();
             assert_eq!(err.kind(), brmi_wire::RemoteErrorKind::Transport);
             assert!(
                 err.message().contains(&format!("`{method}`")),
                 "error names the lost method: {err}"
             );
-            match method {
-                "get" => {
-                    assert_eq!(err.exception(), RETRY_SAFE_EXCEPTION);
-                    assert!(err.message().contains("safe to retry"), "{err}");
-                }
-                _ => {
-                    assert_eq!(err.exception(), "transport");
-                    assert!(err.message().contains("do not blindly retry"), "{err}");
-                }
+            if retry_safe {
+                assert_eq!(err.exception(), RETRY_SAFE_EXCEPTION);
+                assert!(err.message().contains("safe to retry"), "{err}");
+            } else {
+                assert_eq!(err.exception(), "transport");
+                assert!(err.message().contains("do not blindly retry"), "{err}");
             }
         }
         // Fail-fast errors for calls that never registered a slot stay
@@ -940,6 +995,7 @@ mod tests {
         });
         let client = MuxClient::connect(addr).unwrap();
         let huge = Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "echo".into(),
             args: vec![Value::Bytes(vec![0u8; MAX_FRAME as usize + 1])],
@@ -977,7 +1033,7 @@ mod tests {
             let (mut peer, _) = listener.accept().unwrap();
             while let Some((id, frame)) = read_envelope(&mut peer) {
                 let reply = match frame {
-                    Frame::KeyedCall { key, .. } => Frame::Return(Value::I64(key.seq as i64)),
+                    Frame::Call { key: Some(key), .. } => Frame::Return(Value::I64(key.seq as i64)),
                     Frame::Call { args, .. } => Frame::Return(args[0].clone()),
                     _ => Frame::Return(Value::Null),
                 };
@@ -988,12 +1044,12 @@ mod tests {
             move || MuxClient::connect(addr).map(|client| client as Arc<dyn Transport>),
             RetryPolicy::immediate(4),
         );
-        let keyed = Frame::KeyedCall {
-            key: brmi_wire::protocol::IdemKey {
+        let keyed = Frame::Call {
+            key: Some(IdemKey {
                 client_id: 3,
                 seq: 11,
                 acked: 0,
-            },
+            }),
             target: ObjectId(1),
             method: "echo".into(),
             args: vec![],

@@ -25,8 +25,8 @@
 //!   call, and replaying a non-idempotent request such as a purchase would
 //!   double-apply it. The failed connection is discarded and the error
 //!   surfaced to the caller.
-//! * **Retry-safe exactly-once visible** (keyed frames,
-//!   [`Frame::is_retry_safe`]): the pool redials and re-sends the frame
+//! * **Retry-safe exactly-once visible** (requests carrying an
+//!   idempotency key, [`Frame::is_retry_safe`]): the pool redials and re-sends the frame
 //!   verbatim under its [`RetryPolicy`] (capped exponential backoff).
 //!   Re-sending is safe even when only the reply was lost, because the
 //!   origin's reply cache deduplicates by idempotency key and answers a
@@ -264,6 +264,7 @@ mod tests {
 
     fn call(args: Vec<Value>) -> Frame {
         Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "echo".into(),
             args,
@@ -366,7 +367,7 @@ mod tests {
             let mut out = Vec::new();
             while let Ok(true) = crate::framing::read_frame_bytes(&mut peer, &mut buf) {
                 let reply = match Frame::from_wire_bytes(&buf).unwrap() {
-                    Frame::KeyedCall { key, .. } => Frame::Return(Value::I64(key.seq as i64)),
+                    Frame::Call { key: Some(key), .. } => Frame::Return(Value::I64(key.seq as i64)),
                     _ => Frame::Return(Value::Null),
                 };
                 crate::framing::write_frame(&mut peer, &reply, &mut out).unwrap();
@@ -376,12 +377,12 @@ mod tests {
     }
 
     fn keyed(seq: u64) -> Frame {
-        Frame::KeyedCall {
-            key: brmi_wire::protocol::IdemKey {
+        Frame::Call {
+            key: Some(brmi_wire::protocol::IdemKey {
                 client_id: 9,
                 seq,
                 acked: 0,
-            },
+            }),
             target: ObjectId(1),
             method: "echo".into(),
             args: vec![],

@@ -1548,6 +1548,7 @@ mod tests {
 
     fn call(args: Vec<Value>) -> Frame {
         Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "echo".into(),
             args,
@@ -1913,6 +1914,7 @@ mod tests {
 
     fn named_call(method: &str, args: Vec<Value>) -> Frame {
         Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: method.into(),
             args,

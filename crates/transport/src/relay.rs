@@ -35,9 +35,10 @@
 //!   its client's `flush` — the origin either executed the whole
 //!   super-batch or never saw it, and nothing is replayed.
 //! * **Retry-safe exactly-once visible** (keyed batch frames,
-//!   [`Frame::is_retry_safe`]): keyed members coalesce into keyed
-//!   super-batches ([`Frame::KeyedSuperBatchCall`]) and never share an
-//!   upstream frame with unkeyed ones. With the upstream link wrapped in
+//!   [`Frame::is_retry_safe`]): keyed members coalesce into super-batches
+//!   of their own — a [`Frame::SuperBatchCall`] is retry-safe only when
+//!   every member carries a key — and never share an upstream frame with
+//!   unkeyed ones. With the upstream link wrapped in
 //!   a [`RetryTransport`](crate::retry::RetryTransport)
 //!   ([`BatchRelay::with_upstream_retry`]) a failed keyed flush is redialed
 //!   and re-sent; the origin's reply cache deduplicates each *member* key
@@ -74,8 +75,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use brmi_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry, Snapshot, Tracer};
-use brmi_wire::invocation::{BatchRequest, ErrorEnvelope};
-use brmi_wire::protocol::{Frame, IdemKey, KeyedBatch, TraceCtx};
+use brmi_wire::invocation::ErrorEnvelope;
+use brmi_wire::protocol::{BatchCall, Frame, TraceCtx};
 use brmi_wire::{RemoteError, RemoteErrorKind};
 
 use crate::clock::{Clock, VirtualClock};
@@ -407,10 +408,10 @@ impl Snapshot for RelayStats {
 
 /// One downstream batch waiting to be coalesced.
 struct PendingBatch {
-    /// Idempotency key when the batch arrived keyed (retry-safe mode);
-    /// keyed and unkeyed batches never share an upstream frame.
-    key: Option<IdemKey>,
-    request: BatchRequest,
+    /// The batch and the idempotency key it arrived under, if any
+    /// (retry-safe mode); keyed and unkeyed batches never share an
+    /// upstream frame.
+    call: BatchCall,
     /// Budget weight: call count, but at least one so empty batches (pure
     /// session traffic) still make progress toward a flush.
     weight: usize,
@@ -593,13 +594,9 @@ impl BatchRelay {
     /// Enqueues one downstream batch (keyed or not) and blocks until its
     /// super-batch completes. `client_ctx` is the trace context the batch
     /// arrived enveloped in, if any.
-    fn relay_batch(
-        &self,
-        client_ctx: Option<TraceCtx>,
-        key: Option<IdemKey>,
-        request: BatchRequest,
-    ) -> Frame {
+    fn relay_batch(&self, client_ctx: Option<TraceCtx>, call: BatchCall) -> Frame {
         let reply = ReplySlot::new();
+        let keyed = call.key.is_some();
         let tracer = self.shared.tracer();
         // The relay's own span: minted at enqueue so the coalesce wait is
         // part of it; without a tracer the client's context passes through
@@ -614,7 +611,7 @@ impl BatchRelay {
             if queue.shutdown {
                 return Frame::Error(ErrorEnvelope::from(&relay_down()));
             }
-            let weight = request.calls.len().max(1);
+            let weight = call.request.calls.len().max(1);
             queue.pending_weight += weight;
             let now = self.shared.time.now();
             if queue.oldest_at.is_none() {
@@ -639,8 +636,7 @@ impl BatchRelay {
                 queue.last_arrival_nanos = Some(now_nanos);
             }
             queue.pending.push_back(PendingBatch {
-                key,
-                request,
+                call,
                 weight,
                 enqueued_at: now,
                 trace,
@@ -649,7 +645,7 @@ impl BatchRelay {
             });
         }
         self.shared.stats.batches.inc();
-        if key.is_some() {
+        if keyed {
             self.shared.stats.keyed_batches.inc();
         }
         self.shared.arrivals.notify_all();
@@ -709,24 +705,17 @@ impl std::fmt::Debug for BatchRelay {
 
 impl RequestHandler for BatchRelay {
     fn handle(&self, frame: Frame) -> Frame {
-        match frame {
-            Frame::BatchCall(request) => self.relay_batch(None, None, request),
-            Frame::KeyedBatchCall(batch) => self.relay_batch(None, Some(batch.key), batch.request),
-            // A traced batch relays exactly like a bare one; the envelope
-            // context feeds the relay's own `relay.coalesce` span. Traced
-            // non-batch frames forward upstream still enveloped.
-            Frame::Traced { ctx, inner } => match *inner {
-                Frame::BatchCall(request) => self.relay_batch(Some(ctx), None, request),
-                Frame::KeyedBatchCall(batch) => {
-                    self.relay_batch(Some(ctx), Some(batch.key), batch.request)
-                }
-                other => self.forward(other.with_trace(Some(ctx))),
-            },
-            // Everything else — plain and keyed calls, registry traffic,
-            // session releases, DGC frames, super-batches from a
-            // downstream relay — passes through one-for-one (keyed frames
-            // among them are retried by a retry-wrapped upstream link).
-            other => self.forward(other),
+        // A traced batch relays exactly like a bare one; the envelope
+        // context feeds the relay's own `relay.coalesce` span.
+        let (ctx, request) = frame.split_trace();
+        match request {
+            Frame::BatchCall(call) => self.relay_batch(ctx, call),
+            // Everything else — plain calls, registry traffic, session
+            // releases, DGC frames, super-batches from a downstream relay
+            // — passes through one-for-one, still enveloped if it arrived
+            // so (keyed frames among them are retried by a retry-wrapped
+            // upstream link).
+            other => self.forward(other.with_trace(ctx)),
         }
     }
 }
@@ -813,15 +802,15 @@ fn flusher_loop(shared: &Shared) {
 /// members never share an upstream frame (their delivery modes differ), so
 /// a mixed group splits into one flush per mode.
 fn flush_group(shared: &Shared, group: Vec<PendingBatch>) {
-    let (keyed, unkeyed): (Vec<_>, Vec<_>) = group.into_iter().partition(|b| b.key.is_some());
+    let (keyed, unkeyed): (Vec<_>, Vec<_>) = group.into_iter().partition(|b| b.call.key.is_some());
     flush_uniform(shared, unkeyed);
     flush_uniform(shared, keyed);
 }
 
 /// Ships one all-keyed or all-unkeyed group. A single batch travels as a
-/// plain [`Frame::BatchCall`] (or [`Frame::KeyedBatchCall`]) — the relay is
-/// then a transparent proxy; two or more travel as one
-/// [`Frame::SuperBatchCall`] (or [`Frame::KeyedSuperBatchCall`]).
+/// plain [`Frame::BatchCall`] — the relay is then a transparent proxy; two
+/// or more travel as one [`Frame::SuperBatchCall`]. Either way each member
+/// keeps the key it arrived under.
 fn flush_uniform(shared: &Shared, group: Vec<PendingBatch>) {
     if group.is_empty() {
         return;
@@ -848,13 +837,7 @@ fn flush_uniform(shared: &Shared, group: Vec<PendingBatch>) {
     if group.len() == 1 {
         let batch = group.into_iter().next().expect("singleton group");
         let trace = batch.trace;
-        let frame = match batch.key {
-            Some(key) => Frame::KeyedBatchCall(KeyedBatch {
-                key,
-                request: batch.request,
-            }),
-            None => Frame::BatchCall(batch.request),
-        };
+        let frame = Frame::BatchCall(batch.call);
         let reply = match shared.upstream.request(frame.with_trace(trace)) {
             Ok(reply) => reply.split_trace().1,
             Err(err) => Frame::Error(ErrorEnvelope::from(&err)),
@@ -867,33 +850,21 @@ fn flush_uniform(shared: &Shared, group: Vec<PendingBatch>) {
     // its reply slot plus trace context (kept for demultiplexing) — no
     // cloning on the hot path.
     let mut slots = Vec::with_capacity(group.len());
-    let frame = if group[0].key.is_some() {
-        let batches = group
-            .into_iter()
-            .map(|b| {
-                slots.push((b.reply, b.trace));
-                KeyedBatch {
-                    key: b.key.expect("keyed partition"),
-                    request: b.request,
-                }
-            })
-            .collect();
-        Frame::KeyedSuperBatchCall(batches)
-    } else {
-        let requests = group
-            .into_iter()
-            .map(|b| {
-                slots.push((b.reply, b.trace));
-                b.request
-            })
-            .collect();
-        Frame::SuperBatchCall(requests)
-    };
-    match shared
+    let members = group
+        .into_iter()
+        .map(|b| {
+            slots.push((b.reply, b.trace));
+            b.call
+        })
+        .collect();
+    let frame = Frame::SuperBatchCall(members);
+    let reply = shared
         .upstream
         .request(frame.with_trace(group_ctx))
-        .map(|reply| reply.split_trace().1)
-    {
+        .map(|reply| reply.split_trace().1);
+    // Anything but a well-formed super-batch reply fails every member the
+    // same way at its client's flush.
+    let env = match reply {
         Ok(Frame::SuperBatchReturn(replies)) if replies.len() == slots.len() => {
             for ((slot, trace), reply) in slots.into_iter().zip(replies) {
                 let frame = match reply {
@@ -902,34 +873,23 @@ fn flush_uniform(shared: &Shared, group: Vec<PendingBatch>) {
                 };
                 slot.deliver(frame.with_trace(trace));
             }
+            return;
         }
-        Ok(Frame::Error(env)) => {
-            // The origin rejected the super-batch as a whole; every member
-            // sees the same error at its flush.
-            for (slot, trace) in slots {
-                slot.deliver(Frame::Error(env.clone()).with_trace(trace));
-            }
-        }
-        Ok(other) => {
-            let env = ErrorEnvelope::from(&RemoteError::new(
-                RemoteErrorKind::Protocol,
-                format!("unexpected super-batch reply frame: {}", other.kind_name()),
-            ));
-            for (slot, trace) in slots {
-                slot.deliver(Frame::Error(env.clone()).with_trace(trace));
-            }
-        }
-        Err(err) => {
-            // The relay itself never retries: the origin may or may not
-            // have executed the group, and replaying unkeyed calls could
-            // double-apply them. Keyed groups get their retries from a
-            // retry-wrapped upstream link (before this error surfaces);
-            // once it gives up, every member fails at its client's flush.
-            let env = ErrorEnvelope::from(&err);
-            for (slot, trace) in slots {
-                slot.deliver(Frame::Error(env.clone()).with_trace(trace));
-            }
-        }
+        // The origin rejected the super-batch as a whole.
+        Ok(Frame::Error(env)) => env,
+        Ok(other) => ErrorEnvelope::from(&RemoteError::new(
+            RemoteErrorKind::Protocol,
+            format!("unexpected super-batch reply frame: {}", other.kind_name()),
+        )),
+        // The relay itself never retries: the origin may or may not have
+        // executed the group, and replaying unkeyed calls could
+        // double-apply them. Keyed groups get their retries from a
+        // retry-wrapped upstream link (before this error surfaces); once
+        // it gives up, the members fail.
+        Err(err) => ErrorEnvelope::from(&err),
+    };
+    for (slot, trace) in slots {
+        slot.deliver(Frame::Error(env.clone()).with_trace(trace));
     }
 }
 
@@ -939,8 +899,9 @@ mod tests {
     use crate::fault::{FaultPlan, FaultyTransport};
     use crate::inproc::InProcTransport;
     use brmi_wire::invocation::{
-        BatchResponse, CallSeq, InvocationData, PolicySpec, SlotOutcome, Target,
+        BatchRequest, BatchResponse, CallSeq, InvocationData, PolicySpec, SlotOutcome, Target,
     };
+    use brmi_wire::protocol::IdemKey;
     use brmi_wire::{ObjectId, Value};
     use std::sync::Barrier;
 
@@ -979,20 +940,13 @@ mod tests {
         fn handle(&self, frame: Frame) -> Frame {
             self.frames.lock().unwrap().push(frame.clone());
             match frame {
-                Frame::BatchCall(request) => Frame::BatchReturn(RecordingOrigin::respond(&request)),
-                Frame::KeyedBatchCall(batch) => {
-                    Frame::BatchReturn(RecordingOrigin::respond(&batch.request))
+                Frame::BatchCall(call) => {
+                    Frame::BatchReturn(RecordingOrigin::respond(&call.request))
                 }
-                Frame::SuperBatchCall(batches) => Frame::SuperBatchReturn(
-                    batches
+                Frame::SuperBatchCall(members) => Frame::SuperBatchReturn(
+                    members
                         .iter()
-                        .map(|request| Ok(RecordingOrigin::respond(request)))
-                        .collect(),
-                ),
-                Frame::KeyedSuperBatchCall(batches) => Frame::SuperBatchReturn(
-                    batches
-                        .iter()
-                        .map(|batch| Ok(RecordingOrigin::respond(&batch.request)))
+                        .map(|member| Ok(RecordingOrigin::respond(&member.request)))
                         .collect(),
                 ),
                 Frame::Call { .. } => Frame::Return(Value::Str("forwarded".into())),
@@ -1002,7 +956,16 @@ mod tests {
     }
 
     fn batch_frame(calls: usize) -> Frame {
-        Frame::BatchCall(BatchRequest {
+        keyed_batch_frame(None, calls)
+    }
+
+    fn keyed_batch_frame(key_seq: Option<u64>, calls: usize) -> Frame {
+        let key = key_seq.map(|seq| IdemKey {
+            client_id: 7,
+            seq,
+            acked: 0,
+        });
+        let request = BatchRequest {
             session: None,
             calls: (0..calls)
                 .map(|i| InvocationData {
@@ -1016,21 +979,8 @@ mod tests {
                 .collect(),
             policy: PolicySpec::Abort,
             keep_session: false,
-        })
-    }
-
-    fn keyed_batch_frame(seq: u64, calls: usize) -> Frame {
-        let Frame::BatchCall(request) = batch_frame(calls) else {
-            unreachable!()
         };
-        Frame::KeyedBatchCall(KeyedBatch {
-            key: IdemKey {
-                client_id: 7,
-                seq,
-                acked: 0,
-            },
-            request,
-        })
+        Frame::BatchCall(BatchCall { key, request })
     }
 
     fn expect_batch_return(frame: Frame, calls: usize) {
@@ -1157,6 +1107,7 @@ mod tests {
         let upstream = Arc::new(InProcTransport::new(origin.clone()));
         let relay = BatchRelay::new(upstream, RelayPolicy::default());
         let reply = relay.handle(Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "m".into(),
             args: vec![],
@@ -1219,7 +1170,7 @@ mod tests {
                 let gate = Arc::clone(&gate);
                 std::thread::spawn(move || {
                     gate.wait();
-                    relay.handle(keyed_batch_frame(seq, 3))
+                    relay.handle(keyed_batch_frame(Some(seq), 3))
                 })
             })
             .collect();
@@ -1232,9 +1183,7 @@ mod tests {
         // formed.
         assert!(frames.iter().all(|f| f.is_retry_safe()), "{frames:?}");
         assert!(
-            frames
-                .iter()
-                .any(|f| matches!(f, Frame::KeyedSuperBatchCall(_))),
+            frames.iter().any(|f| matches!(f, Frame::SuperBatchCall(_))),
             "expected keyed coalescing, got {frames:?}"
         );
         assert_eq!(relay.stats().keyed_batches_relayed(), 4);
@@ -1259,7 +1208,7 @@ mod tests {
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
                 gate.wait();
-                relay.handle(keyed_batch_frame(0, 1))
+                relay.handle(keyed_batch_frame(Some(0), 1))
             })
         };
         let unkeyed_worker = {
@@ -1272,19 +1221,21 @@ mod tests {
         };
         expect_batch_return(keyed_worker.join().unwrap(), 1);
         expect_batch_return(unkeyed_worker.join().unwrap(), 1);
-        // Whatever the grouping, no upstream frame may mix modes: keyed
-        // members travel in keyed frames, unkeyed in plain ones.
+        // Whatever the grouping, no upstream frame may mix modes: a frame
+        // is retry-safe exactly when its members are keyed, all or none.
+        let mut keyed_members = 0;
         for frame in origin.frames() {
-            match &frame {
-                Frame::BatchCall(_) | Frame::SuperBatchCall(_) => {
-                    assert!(!frame.is_retry_safe())
-                }
-                Frame::KeyedBatchCall(_) | Frame::KeyedSuperBatchCall(_) => {
-                    assert!(frame.is_retry_safe())
-                }
+            let members = match &frame {
+                Frame::BatchCall(call) => std::slice::from_ref(call),
+                Frame::SuperBatchCall(members) => members.as_slice(),
                 other => panic!("unexpected upstream frame {other:?}"),
+            };
+            for member in members {
+                assert_eq!(member.key.is_some(), frame.is_retry_safe(), "{frame:?}");
+                keyed_members += usize::from(member.key.is_some());
             }
         }
+        assert_eq!(keyed_members, 1);
         assert_eq!(relay.stats().batches_relayed(), 2);
         assert_eq!(relay.stats().keyed_batches_relayed(), 1);
     }
@@ -1311,7 +1262,7 @@ mod tests {
                 let gate = Arc::clone(&gate);
                 std::thread::spawn(move || {
                     gate.wait();
-                    relay.handle(keyed_batch_frame(seq, 1))
+                    relay.handle(keyed_batch_frame(Some(seq), 1))
                 })
             })
             .collect();

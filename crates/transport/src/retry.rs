@@ -7,8 +7,8 @@
 //! exponential backoff ([`RetryPolicy`]). Whether the request is then
 //! *re-sent* depends on its delivery mode:
 //!
-//! * **Retry-safe frames** ([`Frame::is_retry_safe`] — keyed calls and
-//!   keyed batches) are re-sent verbatim. This is safe even when the
+//! * **Retry-safe frames** ([`Frame::is_retry_safe`] — calls and batches
+//!   whose `key` is set, traced or not) are re-sent verbatim. This is safe even when the
 //!   original request executed and only its reply was lost, because the
 //!   origin's reply cache answers the re-sent key with the recorded reply
 //!   instead of executing again.
@@ -268,7 +268,7 @@ mod tests {
     impl RequestHandler for EchoHandler {
         fn handle(&self, frame: Frame) -> Frame {
             match frame {
-                Frame::KeyedCall { key, .. } => Frame::Return(Value::I64(key.seq as i64)),
+                Frame::Call { key: Some(key), .. } => Frame::Return(Value::I64(key.seq as i64)),
                 Frame::Call { .. } => Frame::Return(Value::Null),
                 _ => Frame::Return(Value::Null),
             }
@@ -276,12 +276,12 @@ mod tests {
     }
 
     fn keyed(seq: u64) -> Frame {
-        Frame::KeyedCall {
-            key: IdemKey {
+        Frame::Call {
+            key: Some(IdemKey {
                 client_id: 1,
                 seq,
                 acked: 0,
-            },
+            }),
             target: ObjectId(1),
             method: "m".into(),
             args: vec![],
@@ -290,6 +290,7 @@ mod tests {
 
     fn plain() -> Frame {
         Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "m".into(),
             args: vec![],

@@ -132,6 +132,7 @@ mod tests {
 
     fn call_frame() -> Frame {
         Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "noop".into(),
             args: vec![],

@@ -282,6 +282,7 @@ mod tests {
 
     fn call(args: Vec<Value>) -> Frame {
         Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "echo".into(),
             args,

@@ -4,6 +4,22 @@
 //! ordinary [`Frame::Call`]s on the well-known registry object
 //! ([`ObjectId::REGISTRY`]), mirroring how the RMI registry is itself a
 //! remote object.
+//!
+//! One request is one round trip, and it has one of three shapes: a
+//! [`Frame::Call`], a [`Frame::BatchCall`], or a [`Frame::SuperBatchCall`]
+//! of several batches. The two things that can be said *about* a request
+//! are annotations on those shapes, not further shapes:
+//!
+//! * **The idempotency key is a field.** A call, a batch and every member
+//!   of a super-batch carry `key: Option<IdemKey>`; tiers match the shape
+//!   once and read the key where they need it. Only the codec knows that a
+//!   keyed request travels under its own tag (13/14/15 beside 0/3/11) with
+//!   the key spliced in after it, so the unkeyed encodings are unchanged.
+//! * **The trace context is an envelope.** [`Frame::Traced`] wraps any
+//!   frame, replies included. A tier peels it once at the top
+//!   ([`Frame::split_trace`], [`FrameRef::split_trace`]), handles the bare
+//!   frame, and re-wraps what it forwards and returns
+//!   ([`Frame::with_trace`]).
 
 use crate::codec::{Decoder, Encoder, IntWidth, WireCodec};
 use crate::error::WireError;
@@ -86,59 +102,52 @@ impl WireCodec for TraceCtx {
     }
 }
 
-/// One batch stamped with its idempotency key — the keyed counterpart of a
-/// bare [`BatchRequest`], used by [`Frame::KeyedBatchCall`] and
-/// [`Frame::KeyedSuperBatchCall`]. The key names the *inner* batch, so a
-/// relay may regroup keyed batches across retries (singleton vs coalesced)
-/// without confusing the origin's dedup.
+/// One recorded batch and the idempotency key it travels under, if any:
+/// the payload of a [`Frame::BatchCall`] and of every member of a
+/// [`Frame::SuperBatchCall`]. The key names *this* batch, so a relay may
+/// regroup keyed batches across retries (singleton vs coalesced) without
+/// confusing the origin's dedup.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KeyedBatch {
-    /// The idempotency key naming this batch.
-    pub key: IdemKey,
-    /// The batch itself, executed exactly as if it were unkeyed.
+pub struct BatchCall {
+    /// The idempotency key naming this batch; `None` keeps the
+    /// at-most-once contract.
+    pub key: Option<IdemKey>,
+    /// The batch itself, executed the same with or without a key.
     pub request: BatchRequest,
 }
 
-impl WireCodec for KeyedBatch {
-    fn encode(&self, enc: &mut Encoder) {
-        self.key.encode(enc);
-        self.request.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(KeyedBatch {
-            key: IdemKey::decode(dec)?,
-            request: BatchRequest::decode(dec)?,
-        })
+impl From<BatchRequest> for BatchCall {
+    /// An unkeyed batch call.
+    fn from(request: BatchRequest) -> Self {
+        BatchCall { key: None, request }
     }
 }
 
-/// Borrowed view of a [`KeyedBatch`] (the key is tiny and always owned;
+impl BatchCall {
+    /// A borrowed view of this call, bridging owned frames onto the
+    /// borrowed execution path without copying payloads.
+    pub fn to_ref(&self) -> BatchCallRef<'_> {
+        BatchCallRef {
+            key: self.key,
+            request: self.request.to_ref(),
+        }
+    }
+}
+
+/// Borrowed view of a [`BatchCall`] (the key is tiny and always owned;
 /// only the batch payload borrows).
 #[derive(Debug, Clone, PartialEq)]
-pub struct KeyedBatchRef<'a> {
-    /// The idempotency key naming this batch.
-    pub key: IdemKey,
+pub struct BatchCallRef<'a> {
+    /// The idempotency key naming this batch, if any.
+    pub key: Option<IdemKey>,
     /// The batch, call descriptors borrowed from the frame buffer.
     pub request: BatchRequestRef<'a>,
 }
 
-impl<'a> KeyedBatchRef<'a> {
-    /// Decodes one keyed batch as a borrowed view.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] when the input is truncated or malformed.
-    pub fn decode(dec: &mut Decoder<'a>) -> Result<KeyedBatchRef<'a>, WireError> {
-        Ok(KeyedBatchRef {
-            key: IdemKey::decode(dec)?,
-            request: BatchRequestRef::decode(dec)?,
-        })
-    }
-
-    /// Converts to an owned [`KeyedBatch`], copying borrowed payloads.
-    pub fn into_owned(self) -> KeyedBatch {
-        KeyedBatch {
+impl BatchCallRef<'_> {
+    /// Converts to an owned [`BatchCall`], copying borrowed payloads.
+    pub fn into_owned(self) -> BatchCall {
+        BatchCall {
             key: self.key,
             request: self.request.into_owned(),
         }
@@ -151,6 +160,10 @@ pub enum Frame {
     /// Invoke `method` on the exported object `target` with `args`
     /// (a plain RMI call: one round trip per invocation).
     Call {
+        /// The idempotency key naming this call. With one, the call may be
+        /// re-sent after a transport failure because the origin dedupes on
+        /// it; without, it keeps the at-most-once contract.
+        key: Option<IdemKey>,
         /// The exported receiver.
         target: ObjectId,
         /// Method name.
@@ -162,17 +175,25 @@ pub enum Frame {
     Return(Value),
     /// Failed reply to any request frame.
     Error(ErrorEnvelope),
-    /// Execute a recorded batch (the BRMI `invoke_batch` entry point).
-    BatchCall(BatchRequest),
+    /// Execute a recorded batch (the BRMI `invoke_batch` entry point),
+    /// under its idempotency key when it carries one.
+    BatchCall(BatchCall),
     /// Reply to a [`Frame::BatchCall`].
     BatchReturn(BatchResponse),
     /// Execute several independent batches in one round trip — the
     /// multi-tier relay's upstream frame. An edge node coalesces in-flight
     /// batches from many downstream clients into one of these; the origin
-    /// executes each inner batch exactly as if it had arrived alone, so
-    /// per-batch sessions, policies and exception cursors are preserved.
-    SuperBatchCall(Vec<BatchRequest>),
-    /// Reply to a [`Frame::SuperBatchCall`]: one entry per inner batch, in
+    /// executes each member exactly as if it had arrived alone, so
+    /// per-batch sessions, policies and exception cursors are preserved,
+    /// and each keyed member's reply is cached under its *own* key (the
+    /// members come from different downstream clients).
+    ///
+    /// The relay never mixes keyed and unkeyed members, and the wire
+    /// cannot carry a mix: a super-batch travels keyed only when every
+    /// member is (see [`Frame::is_retry_safe`]); otherwise it is encoded
+    /// unkeyed — stray keys are dropped — and is not retry-safe.
+    SuperBatchCall(Vec<BatchCall>),
+    /// Reply to a [`Frame::SuperBatchCall`]: one entry per member, in
     /// request order — either that batch's response or the protocol error
     /// that prevented it from running (other entries are unaffected).
     SuperBatchReturn(Vec<Result<BatchResponse, ErrorEnvelope>>),
@@ -203,40 +224,27 @@ pub enum Frame {
     },
     /// Acknowledgement of a [`Frame::Clean`].
     Cleaned,
-    /// A [`Frame::Call`] stamped with an idempotency key: safe to re-send
-    /// after a transport failure because the origin dedupes on the key.
-    KeyedCall {
-        /// The idempotency key naming this call.
-        key: IdemKey,
-        /// The exported receiver.
-        target: ObjectId,
-        /// Method name.
-        method: String,
-        /// Arguments, marshalled by copy or as remote references.
-        args: Vec<Value>,
-    },
-    /// A [`Frame::BatchCall`] stamped with an idempotency key.
-    KeyedBatchCall(KeyedBatch),
-    /// A [`Frame::SuperBatchCall`] whose inner batches are each stamped
-    /// with their *own* idempotency key (they come from different
-    /// downstream clients). The reply is an ordinary
-    /// [`Frame::SuperBatchReturn`]; the origin caches each inner reply
-    /// under its inner key.
-    KeyedSuperBatchCall(Vec<KeyedBatch>),
     /// An observability envelope: any frame, stamped with a [`TraceCtx`].
-    /// Semantically transparent — every tier behaves exactly as if the
-    /// inner frame had arrived bare, but records a span for its share of
-    /// the work and re-wraps what it forwards (and its reply) so the trace
-    /// propagates end to end. Tiers that do not understand tracing may
-    /// treat the envelope as opaque bytes; only frames from tracing-enabled
-    /// senders pay the envelope cost, so golden encodings of all other
-    /// tags are untouched.
+    /// Semantically transparent — every tier peels it once
+    /// ([`Frame::split_trace`]), behaves exactly as if the inner frame had
+    /// arrived bare, records a span for its share of the work and re-wraps
+    /// what it forwards and returns ([`Frame::with_trace`]) so the trace
+    /// propagates end to end. Only frames from tracing-enabled senders pay
+    /// the envelope cost, so golden encodings of all other tags are
+    /// untouched.
     Traced {
         /// The sender's span identity.
         ctx: TraceCtx,
         /// The enveloped frame, executed exactly as if it were bare.
         inner: Box<Frame>,
     },
+}
+
+/// A super-batch is keyed iff it has members and every one of them is —
+/// the one predicate behind both its wire tag and its retry-safety. (An
+/// empty super-batch, which no tier produces, is therefore unkeyed.)
+fn all_keyed(members: &[BatchCall]) -> bool {
+    !members.is_empty() && members.iter().all(|member| member.key.is_some())
 }
 
 impl Frame {
@@ -256,46 +264,46 @@ impl Frame {
             Frame::Leased { .. } => "leased",
             Frame::Clean { .. } => "clean",
             Frame::Cleaned => "cleaned",
-            Frame::KeyedCall { .. } => "keyed-call",
-            Frame::KeyedBatchCall(_) => "keyed-batch-call",
-            Frame::KeyedSuperBatchCall(_) => "keyed-super-batch-call",
             Frame::Traced { .. } => "traced",
+        }
+    }
+
+    /// This frame without its trace envelope, by reference: what every
+    /// classification below looks at.
+    pub fn bare(&self) -> &Frame {
+        match self {
+            Frame::Traced { inner, .. } => inner.bare(),
+            frame => frame,
         }
     }
 
     /// True for frames a client sends; false for reply frames. A traced
     /// envelope classifies as its inner frame.
     pub fn is_request(&self) -> bool {
-        match self {
-            Frame::Traced { inner, .. } => inner.is_request(),
-            _ => matches!(
-                self,
-                Frame::Call { .. }
-                    | Frame::BatchCall(_)
-                    | Frame::SuperBatchCall(_)
-                    | Frame::ReleaseSession(_)
-                    | Frame::Dirty { .. }
-                    | Frame::Clean { .. }
-                    | Frame::KeyedCall { .. }
-                    | Frame::KeyedBatchCall(_)
-                    | Frame::KeyedSuperBatchCall(_)
-            ),
-        }
+        matches!(
+            self.bare(),
+            Frame::Call { .. }
+                | Frame::BatchCall(_)
+                | Frame::SuperBatchCall(_)
+                | Frame::ReleaseSession(_)
+                | Frame::Dirty { .. }
+                | Frame::Clean { .. }
+        )
     }
 
     /// True when this frame may be re-sent verbatim after a transport
-    /// failure: it carries idempotency keys, so the origin's reply cache
-    /// answers a repeat with the original reply instead of re-executing.
-    /// Everything else keeps the at-most-once contract. A traced envelope
-    /// classifies as its inner frame (the trace context is payload-neutral,
-    /// so re-sending it verbatim re-sends the same keyed request).
+    /// failure: it carries an idempotency key (a super-batch: one on every
+    /// member), so the origin's reply cache answers a repeat with the
+    /// original reply instead of re-executing. Everything else keeps the
+    /// at-most-once contract. A traced envelope classifies as its inner
+    /// frame (the trace context is payload-neutral, so re-sending it
+    /// verbatim re-sends the same keyed request).
     pub fn is_retry_safe(&self) -> bool {
-        match self {
-            Frame::Traced { inner, .. } => inner.is_retry_safe(),
-            _ => matches!(
-                self,
-                Frame::KeyedCall { .. } | Frame::KeyedBatchCall(_) | Frame::KeyedSuperBatchCall(_)
-            ),
+        match self.bare() {
+            Frame::Call { key, .. } => key.is_some(),
+            Frame::BatchCall(call) => call.key.is_some(),
+            Frame::SuperBatchCall(members) => all_keyed(members),
+            _ => false,
         }
     }
 
@@ -313,10 +321,7 @@ impl Frame {
     /// wins and the rest unwrap.
     pub fn split_trace(self) -> (Option<TraceCtx>, Frame) {
         match self {
-            Frame::Traced { ctx, inner } => {
-                let (_, frame) = inner.split_trace();
-                (Some(ctx), frame)
-            }
+            Frame::Traced { ctx, inner } => (Some(ctx), inner.split_trace().1),
             frame => (None, frame),
         }
     }
@@ -330,6 +335,35 @@ impl Frame {
                 inner: Box::new(self),
             },
             None => self,
+        }
+    }
+
+    /// A borrowed view of this frame, bridging an owned request onto the
+    /// borrowed dispatch path: call and batch payloads become slices of
+    /// `self`; control and reply frames, which have no bulk payload, are
+    /// cloned into [`FrameRef::Other`].
+    pub fn to_ref(&self) -> FrameRef<'_> {
+        match self {
+            Frame::Call {
+                key,
+                target,
+                method,
+                args,
+            } => FrameRef::Call {
+                key: *key,
+                target: *target,
+                method,
+                args: args.iter().map(Value::to_ref).collect(),
+            },
+            Frame::BatchCall(call) => FrameRef::BatchCall(call.to_ref()),
+            Frame::SuperBatchCall(members) => {
+                FrameRef::SuperBatchCall(members.iter().map(BatchCall::to_ref).collect())
+            }
+            Frame::Traced { ctx, inner } => FrameRef::Traced {
+                ctx: *ctx,
+                inner: Box::new(inner.to_ref()),
+            },
+            other => FrameRef::Other(other.clone()),
         }
     }
 }
@@ -349,20 +383,80 @@ const TAG_CLEAN: u8 = 9;
 const TAG_CLEANED: u8 = 10;
 const TAG_SUPER_BATCH_CALL: u8 = 11;
 const TAG_SUPER_BATCH_RETURN: u8 = 12;
+// The keyed tags announce the same three request bodies with idempotency
+// keys spliced in: one key right after the tag for a call or a batch, one
+// key in front of every member for a super-batch.
 const TAG_KEYED_CALL: u8 = 13;
 const TAG_KEYED_BATCH_CALL: u8 = 14;
 const TAG_KEYED_SUPER_BATCH_CALL: u8 = 15;
 const TAG_TRACED: u8 = 16;
 
+/// Writes a call's or a batch's tag — `keyed_tag` and the key when it
+/// carries one, `tag` alone otherwise. The body that follows is the same
+/// either way.
+fn put_tag_and_key(enc: &mut Encoder, tag: u8, keyed_tag: u8, key: &Option<IdemKey>) {
+    match key {
+        Some(key) => {
+            enc.put_u8(keyed_tag);
+            key.encode(enc);
+        }
+        None => enc.put_u8(tag),
+    }
+}
+
+/// Reads the key a keyed tag announces; an unkeyed tag has none.
+fn take_key(keyed: bool, dec: &mut Decoder<'_>) -> Result<Option<IdemKey>, WireError> {
+    keyed.then(|| IdemKey::decode(dec)).transpose()
+}
+
+/// Reads a length-prefixed sequence, one `item` per element.
+fn take_vec<'a, T>(
+    dec: &mut Decoder<'a>,
+    mut item: impl FnMut(&mut Decoder<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let count = dec.take_length(CTX)?;
+    let mut items = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        items.push(item(dec)?);
+    }
+    Ok(items)
+}
+
+fn put_ids(enc: &mut Encoder, ids: &[ObjectId]) {
+    enc.put_varint(ids.len() as u64);
+    for id in ids {
+        enc.put_varint(id.0);
+    }
+}
+
+fn take_ids(dec: &mut Decoder<'_>) -> Result<Vec<ObjectId>, WireError> {
+    take_vec(dec, |dec| Ok(ObjectId(dec.take_varint(CTX)?)))
+}
+
+/// Reads a traced envelope's context and the tag of the frame inside it.
+/// No tier nests envelopes, so a traced-in-traced stream is rejected
+/// outright — this also bounds decode recursion.
+fn take_trace_header(dec: &mut Decoder<'_>) -> Result<(TraceCtx, u8), WireError> {
+    let ctx = TraceCtx::decode(dec)?;
+    match dec.take_u8(CTX)? {
+        TAG_TRACED => Err(WireError::UnknownTag {
+            context: "traced-inner",
+            tag: TAG_TRACED,
+        }),
+        inner_tag => Ok((ctx, inner_tag)),
+    }
+}
+
 impl WireCodec for Frame {
     fn encode(&self, enc: &mut Encoder) {
         match self {
             Frame::Call {
+                key,
                 target,
                 method,
                 args,
             } => {
-                enc.put_u8(TAG_CALL);
+                put_tag_and_key(enc, TAG_CALL, TAG_KEYED_CALL, key);
                 enc.put_varint(target.0);
                 enc.put_str(method);
                 enc.put_varint(args.len() as u64);
@@ -378,19 +472,27 @@ impl WireCodec for Frame {
                 enc.put_u8(TAG_ERROR);
                 env.encode(enc);
             }
-            Frame::BatchCall(req) => {
-                enc.put_u8(TAG_BATCH_CALL);
-                req.encode(enc);
+            Frame::BatchCall(call) => {
+                put_tag_and_key(enc, TAG_BATCH_CALL, TAG_KEYED_BATCH_CALL, &call.key);
+                call.request.encode(enc);
             }
             Frame::BatchReturn(resp) => {
                 enc.put_u8(TAG_BATCH_RETURN);
                 resp.encode(enc);
             }
-            Frame::SuperBatchCall(batches) => {
-                enc.put_u8(TAG_SUPER_BATCH_CALL);
-                enc.put_varint(batches.len() as u64);
-                for batch in batches {
-                    batch.encode(enc);
+            Frame::SuperBatchCall(members) => {
+                let keyed = all_keyed(members);
+                enc.put_u8(if keyed {
+                    TAG_KEYED_SUPER_BATCH_CALL
+                } else {
+                    TAG_SUPER_BATCH_CALL
+                });
+                enc.put_varint(members.len() as u64);
+                for member in members {
+                    if let (true, Some(key)) = (keyed, &member.key) {
+                        key.encode(enc);
+                    }
+                    member.request.encode(enc);
                 }
             }
             Frame::SuperBatchReturn(replies) => {
@@ -416,10 +518,7 @@ impl WireCodec for Frame {
             Frame::Released => enc.put_u8(TAG_RELEASED),
             Frame::Dirty { ids, lease_millis } => {
                 enc.put_u8(TAG_DIRTY);
-                enc.put_varint(ids.len() as u64);
-                for id in ids {
-                    enc.put_varint(id.0);
-                }
+                put_ids(enc, ids);
                 enc.put_varint(*lease_millis);
             }
             Frame::Leased { lease_millis } => {
@@ -428,38 +527,9 @@ impl WireCodec for Frame {
             }
             Frame::Clean { ids } => {
                 enc.put_u8(TAG_CLEAN);
-                enc.put_varint(ids.len() as u64);
-                for id in ids {
-                    enc.put_varint(id.0);
-                }
+                put_ids(enc, ids);
             }
             Frame::Cleaned => enc.put_u8(TAG_CLEANED),
-            Frame::KeyedCall {
-                key,
-                target,
-                method,
-                args,
-            } => {
-                enc.put_u8(TAG_KEYED_CALL);
-                key.encode(enc);
-                enc.put_varint(target.0);
-                enc.put_str(method);
-                enc.put_varint(args.len() as u64);
-                for arg in args {
-                    arg.encode(enc);
-                }
-            }
-            Frame::KeyedBatchCall(batch) => {
-                enc.put_u8(TAG_KEYED_BATCH_CALL);
-                batch.encode(enc);
-            }
-            Frame::KeyedSuperBatchCall(batches) => {
-                enc.put_u8(TAG_KEYED_SUPER_BATCH_CALL);
-                enc.put_varint(batches.len() as u64);
-                for batch in batches {
-                    batch.encode(enc);
-                }
-            }
             Frame::Traced { ctx, inner } => {
                 enc.put_u8(TAG_TRACED);
                 ctx.encode(enc);
@@ -478,15 +548,13 @@ impl Frame {
     /// Decodes the body of a frame whose tag byte was already consumed.
     fn decode_body(tag: u8, dec: &mut Decoder<'_>) -> Result<Frame, WireError> {
         match tag {
-            TAG_CALL => {
+            TAG_CALL | TAG_KEYED_CALL => {
+                let key = take_key(tag == TAG_KEYED_CALL, dec)?;
                 let target = ObjectId(dec.take_varint(CTX)?);
                 let method = dec.take_str(CTX)?;
-                let count = dec.take_length(CTX)?;
-                let mut args = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    args.push(Value::decode(dec)?);
-                }
+                let args = take_vec(dec, Value::decode)?;
                 Ok(Frame::Call {
+                    key,
                     target,
                     method,
                     args,
@@ -494,91 +562,46 @@ impl Frame {
             }
             TAG_RETURN => Ok(Frame::Return(Value::decode(dec)?)),
             TAG_ERROR => Ok(Frame::Error(ErrorEnvelope::decode(dec)?)),
-            TAG_BATCH_CALL => Ok(Frame::BatchCall(BatchRequest::decode(dec)?)),
+            TAG_BATCH_CALL | TAG_KEYED_BATCH_CALL => Ok(Frame::BatchCall(BatchCall {
+                key: take_key(tag == TAG_KEYED_BATCH_CALL, dec)?,
+                request: BatchRequest::decode(dec)?,
+            })),
             TAG_BATCH_RETURN => Ok(Frame::BatchReturn(BatchResponse::decode(dec)?)),
-            TAG_SUPER_BATCH_CALL => {
-                let count = dec.take_length(CTX)?;
-                let mut batches = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    batches.push(BatchRequest::decode(dec)?);
-                }
-                Ok(Frame::SuperBatchCall(batches))
+            TAG_SUPER_BATCH_CALL | TAG_KEYED_SUPER_BATCH_CALL => {
+                let members = take_vec(dec, |dec| {
+                    Ok(BatchCall {
+                        key: take_key(tag == TAG_KEYED_SUPER_BATCH_CALL, dec)?,
+                        request: BatchRequest::decode(dec)?,
+                    })
+                })?;
+                Ok(Frame::SuperBatchCall(members))
             }
             TAG_SUPER_BATCH_RETURN => {
-                let count = dec.take_length(CTX)?;
-                let mut replies = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    replies.push(match dec.take_u8(CTX)? {
-                        0 => Ok(BatchResponse::decode(dec)?),
-                        1 => Err(ErrorEnvelope::decode(dec)?),
-                        tag => return Err(WireError::UnknownTag { context: CTX, tag }),
-                    });
-                }
+                let replies = take_vec(dec, |dec| match dec.take_u8(CTX)? {
+                    0 => Ok(Ok(BatchResponse::decode(dec)?)),
+                    1 => Ok(Err(ErrorEnvelope::decode(dec)?)),
+                    tag => Err(WireError::UnknownTag { context: CTX, tag }),
+                })?;
                 Ok(Frame::SuperBatchReturn(replies))
             }
             TAG_RELEASE => Ok(Frame::ReleaseSession(SessionId(dec.take_varint(CTX)?))),
             TAG_RELEASED => Ok(Frame::Released),
-            TAG_DIRTY => {
-                let count = dec.take_length(CTX)?;
-                let mut ids = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    ids.push(ObjectId(dec.take_varint(CTX)?));
-                }
-                let lease_millis = dec.take_varint(CTX)?;
-                Ok(Frame::Dirty { ids, lease_millis })
-            }
+            TAG_DIRTY => Ok(Frame::Dirty {
+                ids: take_ids(dec)?,
+                lease_millis: dec.take_varint(CTX)?,
+            }),
             TAG_LEASED => Ok(Frame::Leased {
                 lease_millis: dec.take_varint(CTX)?,
             }),
-            TAG_CLEAN => {
-                let count = dec.take_length(CTX)?;
-                let mut ids = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    ids.push(ObjectId(dec.take_varint(CTX)?));
-                }
-                Ok(Frame::Clean { ids })
-            }
+            TAG_CLEAN => Ok(Frame::Clean {
+                ids: take_ids(dec)?,
+            }),
             TAG_CLEANED => Ok(Frame::Cleaned),
-            TAG_KEYED_CALL => {
-                let key = IdemKey::decode(dec)?;
-                let target = ObjectId(dec.take_varint(CTX)?);
-                let method = dec.take_str(CTX)?;
-                let count = dec.take_length(CTX)?;
-                let mut args = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    args.push(Value::decode(dec)?);
-                }
-                Ok(Frame::KeyedCall {
-                    key,
-                    target,
-                    method,
-                    args,
-                })
-            }
-            TAG_KEYED_BATCH_CALL => Ok(Frame::KeyedBatchCall(KeyedBatch::decode(dec)?)),
-            TAG_KEYED_SUPER_BATCH_CALL => {
-                let count = dec.take_length(CTX)?;
-                let mut batches = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    batches.push(KeyedBatch::decode(dec)?);
-                }
-                Ok(Frame::KeyedSuperBatchCall(batches))
-            }
             TAG_TRACED => {
-                let ctx = TraceCtx::decode(dec)?;
-                // No tier nests envelopes, so reject a traced-in-traced
-                // stream outright — this also bounds decode recursion.
-                let inner_tag = dec.take_u8(CTX)?;
-                if inner_tag == TAG_TRACED {
-                    return Err(WireError::UnknownTag {
-                        context: "traced-inner",
-                        tag: inner_tag,
-                    });
-                }
-                let inner = Frame::decode_body(inner_tag, dec)?;
+                let (ctx, inner_tag) = take_trace_header(dec)?;
                 Ok(Frame::Traced {
                     ctx,
-                    inner: Box::new(inner),
+                    inner: Box::new(Frame::decode_body(inner_tag, dec)?),
                 })
             }
             tag => Err(WireError::UnknownTag { context: CTX, tag }),
@@ -589,9 +612,10 @@ impl Frame {
 /// A request frame decoded as a borrowed view: the server dispatch path's
 /// zero-copy form of [`Frame`].
 ///
-/// Only the two frames that carry per-call payloads — plain calls and batch
-/// calls — have borrowed variants; every other frame is a small control or
-/// reply message and decodes owned via [`FrameRef::Other`].
+/// Only the three requests that carry per-call payloads — plain calls,
+/// batches and super-batches, keyed or not — have borrowed variants; every
+/// other frame is a small control or reply message and decodes owned via
+/// [`FrameRef::Other`].
 ///
 /// Lifetime contract: a `FrameRef<'a>` borrows the frame buffer it was
 /// decoded from. Transports keep that buffer alive (and unmodified) until
@@ -600,6 +624,9 @@ impl Frame {
 pub enum FrameRef<'a> {
     /// A plain RMI call; method name and argument payloads are borrowed.
     Call {
+        /// The idempotency key naming this call, if any (owned: it is
+        /// tiny).
+        key: Option<IdemKey>,
         /// The exported receiver.
         target: ObjectId,
         /// Method name, borrowed from the frame.
@@ -608,26 +635,9 @@ pub enum FrameRef<'a> {
         args: Vec<ValueRef<'a>>,
     },
     /// A recorded batch; call descriptors are borrowed.
-    BatchCall(BatchRequestRef<'a>),
-    /// A relay super-batch; every inner batch's call descriptors are
-    /// borrowed.
-    SuperBatchCall(Vec<BatchRequestRef<'a>>),
-    /// A keyed plain call; payloads borrowed, the key owned (it is tiny).
-    KeyedCall {
-        /// The idempotency key naming this call.
-        key: IdemKey,
-        /// The exported receiver.
-        target: ObjectId,
-        /// Method name, borrowed from the frame.
-        method: &'a str,
-        /// Arguments, payloads borrowed from the frame.
-        args: Vec<ValueRef<'a>>,
-    },
-    /// A keyed batch; call descriptors borrowed.
-    KeyedBatchCall(KeyedBatchRef<'a>),
-    /// A keyed relay super-batch; every inner batch borrowed, each with
-    /// its own key.
-    KeyedSuperBatchCall(Vec<KeyedBatchRef<'a>>),
+    BatchCall(BatchCallRef<'a>),
+    /// A relay super-batch; every member's call descriptors are borrowed.
+    SuperBatchCall(Vec<BatchCallRef<'a>>),
     /// A traced envelope; the inner frame keeps its borrowed form so the
     /// zero-copy dispatch path survives tracing.
     Traced {
@@ -656,69 +666,36 @@ impl<'a> FrameRef<'a> {
     /// consumed.
     fn decode_body(tag: u8, dec: &mut Decoder<'a>) -> Result<FrameRef<'a>, WireError> {
         match tag {
-            TAG_CALL => {
+            TAG_CALL | TAG_KEYED_CALL => {
+                let key = take_key(tag == TAG_KEYED_CALL, dec)?;
                 let target = ObjectId(dec.take_varint(CTX)?);
                 let method = dec.take_str_ref(CTX)?;
-                let count = dec.take_length(CTX)?;
-                let mut args = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    args.push(ValueRef::decode(dec)?);
-                }
+                let args = take_vec(dec, ValueRef::decode)?;
                 Ok(FrameRef::Call {
-                    target,
-                    method,
-                    args,
-                })
-            }
-            TAG_BATCH_CALL => Ok(FrameRef::BatchCall(BatchRequestRef::decode(dec)?)),
-            TAG_SUPER_BATCH_CALL => {
-                let count = dec.take_length(CTX)?;
-                let mut batches = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    batches.push(BatchRequestRef::decode(dec)?);
-                }
-                Ok(FrameRef::SuperBatchCall(batches))
-            }
-            TAG_KEYED_CALL => {
-                let key = IdemKey::decode(dec)?;
-                let target = ObjectId(dec.take_varint(CTX)?);
-                let method = dec.take_str_ref(CTX)?;
-                let count = dec.take_length(CTX)?;
-                let mut args = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    args.push(ValueRef::decode(dec)?);
-                }
-                Ok(FrameRef::KeyedCall {
                     key,
                     target,
                     method,
                     args,
                 })
             }
-            TAG_KEYED_BATCH_CALL => Ok(FrameRef::KeyedBatchCall(KeyedBatchRef::decode(dec)?)),
-            TAG_KEYED_SUPER_BATCH_CALL => {
-                let count = dec.take_length(CTX)?;
-                let mut batches = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    batches.push(KeyedBatchRef::decode(dec)?);
-                }
-                Ok(FrameRef::KeyedSuperBatchCall(batches))
+            TAG_BATCH_CALL | TAG_KEYED_BATCH_CALL => Ok(FrameRef::BatchCall(BatchCallRef {
+                key: take_key(tag == TAG_KEYED_BATCH_CALL, dec)?,
+                request: BatchRequestRef::decode(dec)?,
+            })),
+            TAG_SUPER_BATCH_CALL | TAG_KEYED_SUPER_BATCH_CALL => {
+                let members = take_vec(dec, |dec| {
+                    Ok(BatchCallRef {
+                        key: take_key(tag == TAG_KEYED_SUPER_BATCH_CALL, dec)?,
+                        request: BatchRequestRef::decode(dec)?,
+                    })
+                })?;
+                Ok(FrameRef::SuperBatchCall(members))
             }
             TAG_TRACED => {
-                let ctx = TraceCtx::decode(dec)?;
-                // Mirror the owned decoder: reject nested envelopes so
-                // recursion stays bounded.
-                let inner_tag = dec.take_u8(CTX)?;
-                if inner_tag == TAG_TRACED {
-                    return Err(WireError::UnknownTag {
-                        context: "traced-inner",
-                        tag: inner_tag,
-                    });
-                }
-                let inner = FrameRef::decode_body(inner_tag, dec)?;
+                let (ctx, inner_tag) = take_trace_header(dec)?;
                 Ok(FrameRef::Traced {
                     ctx,
-                    inner: Box::new(inner),
+                    inner: Box::new(FrameRef::decode_body(inner_tag, dec)?),
                 })
             }
             other => Ok(FrameRef::Other(Frame::decode_body(other, dec)?)),
@@ -756,36 +733,20 @@ impl<'a> FrameRef<'a> {
     pub fn into_owned(self) -> Frame {
         match self {
             FrameRef::Call {
+                key,
                 target,
                 method,
                 args,
             } => Frame::Call {
-                target,
-                method: method.to_owned(),
-                args: args.into_iter().map(ValueRef::into_owned).collect(),
-            },
-            FrameRef::BatchCall(request) => Frame::BatchCall(request.into_owned()),
-            FrameRef::SuperBatchCall(batches) => Frame::SuperBatchCall(
-                batches
-                    .into_iter()
-                    .map(BatchRequestRef::into_owned)
-                    .collect(),
-            ),
-            FrameRef::KeyedCall {
-                key,
-                target,
-                method,
-                args,
-            } => Frame::KeyedCall {
                 key,
                 target,
                 method: method.to_owned(),
                 args: args.into_iter().map(ValueRef::into_owned).collect(),
             },
-            FrameRef::KeyedBatchCall(batch) => Frame::KeyedBatchCall(batch.into_owned()),
-            FrameRef::KeyedSuperBatchCall(batches) => Frame::KeyedSuperBatchCall(
-                batches.into_iter().map(KeyedBatchRef::into_owned).collect(),
-            ),
+            FrameRef::BatchCall(call) => Frame::BatchCall(call.into_owned()),
+            FrameRef::SuperBatchCall(members) => {
+                Frame::SuperBatchCall(members.into_iter().map(BatchCallRef::into_owned).collect())
+            }
             FrameRef::Traced { ctx, inner } => Frame::Traced {
                 ctx,
                 inner: Box::new(inner.into_owned()),
@@ -794,17 +755,12 @@ impl<'a> FrameRef<'a> {
         }
     }
 
-    /// A short name for logging and errors.
-    pub fn kind_name(&self) -> &'static str {
+    /// The borrowed twin of [`Frame::split_trace`]: a traced envelope's
+    /// context and inner frame, or a bare frame unchanged with no context.
+    pub fn split_trace(self) -> (Option<TraceCtx>, FrameRef<'a>) {
         match self {
-            FrameRef::Call { .. } => "call",
-            FrameRef::BatchCall(_) => "batch-call",
-            FrameRef::SuperBatchCall(_) => "super-batch-call",
-            FrameRef::KeyedCall { .. } => "keyed-call",
-            FrameRef::KeyedBatchCall(_) => "keyed-batch-call",
-            FrameRef::KeyedSuperBatchCall(_) => "keyed-super-batch-call",
-            FrameRef::Traced { .. } => "traced",
-            FrameRef::Other(frame) => frame.kind_name(),
+            FrameRef::Traced { ctx, inner } => (Some(ctx), inner.split_trace().1),
+            frame => (None, frame),
         }
     }
 }
@@ -835,6 +791,7 @@ mod tests {
     #[test]
     fn call_frame_round_trips() {
         let frame = Frame::Call {
+            key: None,
             target: ObjectId(5),
             method: "get_name".into(),
             args: vec![Value::Str("x".into()), Value::RemoteRef(ObjectId(2))],
@@ -856,12 +813,15 @@ mod tests {
 
     #[test]
     fn batch_frames_round_trip() {
-        let call = Frame::BatchCall(BatchRequest {
-            session: None,
-            calls: vec![],
-            policy: PolicySpec::Abort,
-            keep_session: true,
-        });
+        let call = Frame::BatchCall(
+            BatchRequest {
+                session: None,
+                calls: vec![],
+                policy: PolicySpec::Abort,
+                keep_session: true,
+            }
+            .into(),
+        );
         assert_eq!(round_trip(&call), call);
         let ret = Frame::BatchReturn(BatchResponse::default());
         assert_eq!(round_trip(&ret), ret);
@@ -875,13 +835,15 @@ mod tests {
                 calls: vec![],
                 policy: PolicySpec::Abort,
                 keep_session: false,
-            },
+            }
+            .into(),
             BatchRequest {
                 session: Some(SessionId(4)),
                 calls: vec![],
                 policy: PolicySpec::Continue,
                 keep_session: true,
-            },
+            }
+            .into(),
         ]);
         assert_eq!(round_trip(&call), call);
         let ret = Frame::SuperBatchReturn(vec![
@@ -912,18 +874,18 @@ mod tests {
             }],
             policy: PolicySpec::Abort,
             keep_session: false,
-        }]);
+        }
+        .into()]);
         let bytes = frame.to_wire_bytes();
         let borrowed = FrameRef::from_wire_bytes(&bytes).unwrap();
         match &borrowed {
             FrameRef::SuperBatchCall(batches) => {
                 let range = bytes.as_ptr() as usize..bytes.as_ptr() as usize + bytes.len();
-                let method = batches[0].calls[0].method;
+                let method = batches[0].request.calls[0].method;
                 assert!(range.contains(&(method.as_ptr() as usize)));
             }
             other => panic!("expected super-batch call, got {other:?}"),
         }
-        assert_eq!(borrowed.kind_name(), "super-batch-call");
         assert_eq!(borrowed.into_owned(), frame);
     }
 
@@ -979,17 +941,21 @@ mod tests {
     #[test]
     fn request_classification() {
         assert!(Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "m".into(),
             args: vec![]
         }
         .is_request());
-        assert!(Frame::BatchCall(BatchRequest {
-            session: None,
-            calls: vec![],
-            policy: PolicySpec::Abort,
-            keep_session: false
-        })
+        assert!(Frame::BatchCall(
+            BatchRequest {
+                session: None,
+                calls: vec![],
+                policy: PolicySpec::Abort,
+                keep_session: false
+            }
+            .into()
+        )
         .is_request());
         assert!(Frame::ReleaseSession(SessionId(1)).is_request());
         assert!(!Frame::Return(Value::Null).is_request());
@@ -1000,6 +966,7 @@ mod tests {
     fn kind_names_are_distinct() {
         let frames = [
             Frame::Call {
+                key: None,
                 target: ObjectId(1),
                 method: "m".into(),
                 args: vec![],
@@ -1010,12 +977,15 @@ mod tests {
                 exception: "e".into(),
                 message: "m".into(),
             }),
-            Frame::BatchCall(BatchRequest {
-                session: None,
-                calls: vec![],
-                policy: PolicySpec::Abort,
-                keep_session: false,
-            }),
+            Frame::BatchCall(
+                BatchRequest {
+                    session: None,
+                    calls: vec![],
+                    policy: PolicySpec::Abort,
+                    keep_session: false,
+                }
+                .into(),
+            ),
             Frame::BatchReturn(BatchResponse::default()),
             Frame::SuperBatchCall(vec![]),
             Frame::SuperBatchReturn(vec![]),
@@ -1028,30 +998,11 @@ mod tests {
             Frame::Leased { lease_millis: 0 },
             Frame::Clean { ids: vec![] },
             Frame::Cleaned,
-            Frame::KeyedCall {
-                key: IdemKey {
-                    client_id: 1,
-                    seq: 2,
-                    acked: 0,
-                },
-                target: ObjectId(1),
-                method: "m".into(),
-                args: vec![],
-            },
-            Frame::KeyedBatchCall(KeyedBatch {
-                key: IdemKey {
-                    client_id: 1,
-                    seq: 3,
-                    acked: 1,
-                },
-                request: BatchRequest {
-                    session: None,
-                    calls: vec![],
-                    policy: PolicySpec::Abort,
-                    keep_session: false,
-                },
-            }),
-            Frame::KeyedSuperBatchCall(vec![]),
+            Frame::Released.with_trace(Some(TraceCtx {
+                trace_id: 1,
+                span_id: 1,
+                parent: 0,
+            })),
         ];
         let mut names: Vec<_> = frames.iter().map(Frame::kind_name).collect();
         names.sort_unstable();
@@ -1066,15 +1017,15 @@ mod tests {
             seq: 300,
             acked: 297,
         };
-        let call = Frame::KeyedCall {
-            key,
+        let call = Frame::Call {
+            key: Some(key),
             target: ObjectId(5),
             method: "make_purchase".into(),
             args: vec![Value::F64(19.99)],
         };
         assert_eq!(round_trip(&call), call);
-        let batch = Frame::KeyedBatchCall(KeyedBatch {
-            key,
+        let batch = Frame::BatchCall(BatchCall {
+            key: Some(key),
             request: BatchRequest {
                 session: Some(SessionId(4)),
                 calls: vec![],
@@ -1083,9 +1034,9 @@ mod tests {
             },
         });
         assert_eq!(round_trip(&batch), batch);
-        let super_batch = Frame::KeyedSuperBatchCall(vec![
-            KeyedBatch {
-                key,
+        let super_batch = Frame::SuperBatchCall(vec![
+            BatchCall {
+                key: Some(key),
                 request: BatchRequest {
                     session: None,
                     calls: vec![],
@@ -1093,12 +1044,12 @@ mod tests {
                     keep_session: false,
                 },
             },
-            KeyedBatch {
-                key: IdemKey {
+            BatchCall {
+                key: Some(IdemKey {
                     client_id: 8,
                     seq: 1,
                     acked: 0,
-                },
+                }),
                 request: BatchRequest {
                     session: None,
                     calls: vec![],
@@ -1108,8 +1059,40 @@ mod tests {
             },
         ]);
         assert_eq!(round_trip(&super_batch), super_batch);
-        let empty = Frame::KeyedSuperBatchCall(vec![]);
-        assert_eq!(round_trip(&empty), empty);
+        assert_eq!(super_batch.to_wire_bytes()[0], TAG_KEYED_SUPER_BATCH_CALL);
+        // An empty super-batch has no member to key: both tags decode to
+        // the same value, and it re-encodes under the unkeyed one.
+        let empty = Frame::SuperBatchCall(vec![]);
+        assert_eq!(Frame::from_wire_bytes(&[0x0f, 0x00]).unwrap(), empty);
+        assert_eq!(Frame::from_wire_bytes(&[0x0b, 0x00]).unwrap(), empty);
+        assert_eq!(empty.to_wire_bytes(), [0x0b, 0x00]);
+    }
+
+    #[test]
+    fn half_keyed_super_batch_travels_unkeyed_and_is_not_retry_safe() {
+        // The relay never builds one, but the type can: it must not be
+        // mistaken for a frame the origin dedupes as a whole.
+        let request = BatchRequest {
+            session: None,
+            calls: vec![],
+            policy: PolicySpec::Abort,
+            keep_session: false,
+        };
+        let half = Frame::SuperBatchCall(vec![
+            BatchCall {
+                key: Some(IdemKey {
+                    client_id: 1,
+                    seq: 1,
+                    acked: 0,
+                }),
+                request: request.clone(),
+            },
+            request.clone().into(),
+        ]);
+        assert!(!half.is_retry_safe());
+        let unkeyed = Frame::SuperBatchCall(vec![request.clone().into(), request.into()]);
+        assert_eq!(half.to_wire_bytes(), unkeyed.to_wire_bytes());
+        assert_eq!(round_trip(&half), unkeyed);
     }
 
     #[test]
@@ -1119,28 +1102,44 @@ mod tests {
             seq: 1,
             acked: 0,
         };
-        let keyed = Frame::KeyedCall {
-            key,
+        let keyed = Frame::Call {
+            key: Some(key),
             target: ObjectId(1),
             method: "m".into(),
             args: vec![],
         };
         assert!(keyed.is_request());
         assert!(keyed.is_retry_safe());
-        assert!(Frame::KeyedSuperBatchCall(vec![]).is_retry_safe());
+        let keyed_batch = BatchCall {
+            key: Some(key),
+            request: BatchRequest {
+                session: None,
+                calls: vec![],
+                policy: PolicySpec::Abort,
+                keep_session: false,
+            },
+        };
+        assert!(Frame::BatchCall(keyed_batch.clone()).is_retry_safe());
+        assert!(Frame::SuperBatchCall(vec![keyed_batch]).is_retry_safe());
+        // Nothing in an empty super-batch is keyed.
+        assert!(!Frame::SuperBatchCall(vec![]).is_retry_safe());
         // Unkeyed traffic keeps the at-most-once contract.
         assert!(!Frame::Call {
+            key: None,
             target: ObjectId(1),
             method: "m".into(),
             args: vec![]
         }
         .is_retry_safe());
-        assert!(!Frame::BatchCall(BatchRequest {
-            session: None,
-            calls: vec![],
-            policy: PolicySpec::Abort,
-            keep_session: false,
-        })
+        assert!(!Frame::BatchCall(
+            BatchRequest {
+                session: None,
+                calls: vec![],
+                policy: PolicySpec::Abort,
+                keep_session: false,
+            }
+            .into()
+        )
         .is_retry_safe());
         assert!(!Frame::Return(Value::Null).is_retry_safe());
     }
@@ -1152,8 +1151,8 @@ mod tests {
             seq: 42,
             acked: 40,
         };
-        let call = Frame::KeyedCall {
-            key,
+        let call = Frame::Call {
+            key: Some(key),
             target: ObjectId(5),
             method: "get_name".into(),
             args: vec![Value::Str("x".into())],
@@ -1161,18 +1160,17 @@ mod tests {
         let bytes = call.to_wire_bytes();
         let borrowed = FrameRef::from_wire_bytes(&bytes).unwrap();
         match &borrowed {
-            FrameRef::KeyedCall { key: k, method, .. } => {
-                assert_eq!(*k, key);
+            FrameRef::Call { key: k, method, .. } => {
+                assert_eq!(*k, Some(key));
                 let range = bytes.as_ptr() as usize..bytes.as_ptr() as usize + bytes.len();
                 assert!(range.contains(&(method.as_ptr() as usize)));
             }
             other => panic!("expected keyed call, got {other:?}"),
         }
-        assert_eq!(borrowed.kind_name(), "keyed-call");
         assert_eq!(borrowed.into_owned(), call);
 
-        let batch = Frame::KeyedBatchCall(KeyedBatch {
-            key,
+        let batch = Frame::BatchCall(BatchCall {
+            key: Some(key),
             request: BatchRequest {
                 session: None,
                 calls: vec![crate::invocation::InvocationData {
@@ -1190,8 +1188,8 @@ mod tests {
         let bytes = batch.to_wire_bytes();
         let borrowed = FrameRef::from_wire_bytes(&bytes).unwrap();
         match &borrowed {
-            FrameRef::KeyedBatchCall(kb) => {
-                assert_eq!(kb.key, key);
+            FrameRef::BatchCall(kb) => {
+                assert_eq!(kb.key, Some(key));
                 let range = bytes.as_ptr() as usize..bytes.as_ptr() as usize + bytes.len();
                 let method = kb.request.calls[0].method;
                 assert!(range.contains(&(method.as_ptr() as usize)));
@@ -1200,8 +1198,8 @@ mod tests {
         }
         assert_eq!(borrowed.into_owned(), batch);
 
-        let super_batch = Frame::KeyedSuperBatchCall(vec![KeyedBatch {
-            key,
+        let super_batch = Frame::SuperBatchCall(vec![BatchCall {
+            key: Some(key),
             request: BatchRequest {
                 session: None,
                 calls: vec![],
@@ -1211,8 +1209,9 @@ mod tests {
         }]);
         let bytes = super_batch.to_wire_bytes();
         let borrowed = FrameRef::from_wire_bytes(&bytes).unwrap();
-        assert!(matches!(&borrowed, FrameRef::KeyedSuperBatchCall(b) if b.len() == 1));
-        assert_eq!(borrowed.kind_name(), "keyed-super-batch-call");
+        assert!(
+            matches!(&borrowed, FrameRef::SuperBatchCall(b) if b.len() == 1 && b[0].key == Some(key))
+        );
         assert_eq!(borrowed.into_owned(), super_batch);
     }
 
@@ -1223,12 +1222,12 @@ mod tests {
             span_id: 9,
             parent: 7,
         };
-        let inner = Frame::KeyedBatchCall(KeyedBatch {
-            key: IdemKey {
+        let inner = Frame::BatchCall(BatchCall {
+            key: Some(IdemKey {
                 client_id: 1,
                 seq: 2,
                 acked: 0,
-            },
+            }),
             request: BatchRequest {
                 session: None,
                 calls: vec![],
@@ -1259,12 +1258,15 @@ mod tests {
         // The envelope must not perturb the inner frame's bytes: a traced
         // frame is exactly `TAG_TRACED + ctx` followed by the bare frame's
         // golden encoding. This is what keeps existing baselines intact.
-        let inner = Frame::BatchCall(BatchRequest {
-            session: Some(SessionId(4)),
-            calls: vec![],
-            policy: PolicySpec::Continue,
-            keep_session: true,
-        });
+        let inner = Frame::BatchCall(
+            BatchRequest {
+                session: Some(SessionId(4)),
+                calls: vec![],
+                policy: PolicySpec::Continue,
+                keep_session: true,
+            }
+            .into(),
+        );
         let bare = inner.to_wire_bytes();
         let ctx = TraceCtx {
             trace_id: 1,
@@ -1285,6 +1287,7 @@ mod tests {
             parent: 3,
         };
         let frame = Frame::Call {
+            key: None,
             target: ObjectId(5),
             method: "get_name".into(),
             args: vec![Value::Str("x".into())],
@@ -1305,8 +1308,51 @@ mod tests {
             }
             other => panic!("expected traced, got {other:?}"),
         }
-        assert_eq!(borrowed.kind_name(), "traced");
         assert_eq!(borrowed.into_owned(), frame);
+    }
+
+    #[test]
+    fn to_ref_is_the_borrowed_decode_and_splits_like_the_owned_frame() {
+        let key = IdemKey {
+            client_id: 4,
+            seq: 9,
+            acked: 3,
+        };
+        let ctx = TraceCtx {
+            trace_id: 3,
+            span_id: 4,
+            parent: 3,
+        };
+        let batch = BatchCall {
+            key: Some(key),
+            request: BatchRequest {
+                session: Some(SessionId(2)),
+                calls: vec![],
+                policy: PolicySpec::Continue,
+                keep_session: true,
+            },
+        };
+        for frame in [
+            Frame::Call {
+                key: Some(key),
+                target: ObjectId(5),
+                method: "get_name".into(),
+                args: vec![Value::Str("x".into()), Value::List(vec![Value::I32(1)])],
+            }
+            .with_trace(Some(ctx)),
+            Frame::BatchCall(batch.clone()),
+            Frame::SuperBatchCall(vec![batch.clone(), batch]).with_trace(Some(ctx)),
+            Frame::Clean {
+                ids: vec![ObjectId(1)],
+            }
+            .with_trace(Some(ctx)),
+            Frame::Released,
+        ] {
+            let bytes = frame.to_wire_bytes();
+            assert_eq!(frame.to_ref(), FrameRef::from_wire_bytes(&bytes).unwrap());
+            let (got_ctx, bare) = frame.to_ref().split_trace();
+            assert_eq!((got_ctx, bare.into_owned()), frame.split_trace());
+        }
     }
 
     #[test]
@@ -1340,6 +1386,7 @@ mod tests {
     #[test]
     fn borrowed_call_frame_matches_owned_decode() {
         let frame = Frame::Call {
+            key: None,
             target: ObjectId(5),
             method: "get_name".into(),
             args: vec![Value::Str("x".into()), Value::Bytes(vec![1, 2, 3])],
@@ -1360,12 +1407,15 @@ mod tests {
 
     #[test]
     fn borrowed_batch_frame_matches_owned_decode() {
-        let frame = Frame::BatchCall(BatchRequest {
-            session: Some(SessionId(3)),
-            calls: vec![],
-            policy: PolicySpec::Continue,
-            keep_session: true,
-        });
+        let frame = Frame::BatchCall(
+            BatchRequest {
+                session: Some(SessionId(3)),
+                calls: vec![],
+                policy: PolicySpec::Continue,
+                keep_session: true,
+            }
+            .into(),
+        );
         let bytes = frame.to_wire_bytes();
         let borrowed = FrameRef::from_wire_bytes(&bytes).unwrap();
         assert!(matches!(borrowed, FrameRef::BatchCall(_)));
@@ -1384,7 +1434,6 @@ mod tests {
         ] {
             let bytes = frame.to_wire_bytes();
             let borrowed = FrameRef::from_wire_bytes(&bytes).unwrap();
-            assert_eq!(borrowed.kind_name(), frame.kind_name());
             assert!(matches!(borrowed, FrameRef::Other(_)));
             assert_eq!(borrowed.into_owned(), frame);
         }
@@ -1394,6 +1443,7 @@ mod tests {
     fn borrowed_frame_decodes_fixed_width() {
         use crate::codec::IntWidth;
         let frame = Frame::Call {
+            key: None,
             target: ObjectId(300),
             method: "m".into(),
             args: vec![Value::I64(1)],

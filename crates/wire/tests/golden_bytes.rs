@@ -7,7 +7,8 @@ use brmi_wire::codec::WireCodec;
 use brmi_wire::invocation::{
     Arg, BatchRequest, CallSeq, ErrorEnvelope, InvocationData, PolicySpec, SlotOutcome, Target,
 };
-use brmi_wire::protocol::Frame;
+use brmi_wire::invocation::{BatchResponse, SessionId};
+use brmi_wire::protocol::{BatchCall, Frame, FrameRef, IdemKey, TraceCtx};
 use brmi_wire::{ObjectId, Value};
 
 fn hex(bytes: &[u8]) -> String {
@@ -48,6 +49,7 @@ fn golden_varint_multibyte() {
 #[test]
 fn golden_call_frame() {
     let frame = Frame::Call {
+        key: None,
         target: ObjectId(3),
         method: "m".into(),
         args: vec![Value::I32(1)],
@@ -67,9 +69,9 @@ fn golden_return_and_error_frames() {
     assert_eq!(hex(&Frame::Released.to_wire_bytes()), "06");
 }
 
-#[test]
-fn golden_batch_request() {
-    let request = BatchRequest {
+/// The one-call batch every batch-shaped pin below is built from.
+fn one_call_batch() -> BatchRequest {
+    BatchRequest {
         session: None,
         calls: vec![InvocationData {
             seq: CallSeq(0),
@@ -81,12 +83,17 @@ fn golden_batch_request() {
         }],
         policy: PolicySpec::Abort,
         keep_session: false,
-    };
+    }
+}
+
+#[test]
+fn golden_batch_request() {
+    let request = one_call_batch();
     // 00: no session, 01: one call, 00: seq 0, 00 01: target remote obj#1,
     // 01 66: "f", 01: one arg, 01 02: Arg::Result(2), 00: no cursor,
     // 00: not opening, 00: abort policy, 00: no keep.
     assert_eq!(
-        hex(&Frame::BatchCall(request).to_wire_bytes()),
+        hex(&Frame::BatchCall(request.into()).to_wire_bytes()),
         "030001000001016601010200000000"
     );
 }
@@ -104,4 +111,124 @@ fn decoding_golden_bytes_back() {
     assert_eq!(Value::from_wire_bytes(&bytes).unwrap(), Value::I32(5));
     let frame = Frame::from_wire_bytes(&[0x06]).unwrap();
     assert_eq!(frame, Frame::Released);
+}
+
+const KEY: IdemKey = IdemKey {
+    client_id: 7,
+    seq: 300,
+    acked: 2,
+};
+const SECOND_KEY: IdemKey = IdemKey {
+    client_id: 8,
+    seq: 1,
+    acked: 0,
+};
+const CTX: TraceCtx = TraceCtx {
+    trace_id: 1,
+    span_id: 2,
+    parent: 0,
+};
+
+/// Pins `frame` to `golden` in both directions: it encodes to exactly
+/// these bytes, and the bytes decode back to it through the owned and the
+/// borrowed decoder.
+fn pin(frame: &Frame, golden: &str) {
+    let bytes = frame.to_wire_bytes();
+    assert_eq!(hex(&bytes), golden, "{frame:?}");
+    assert_eq!(&Frame::from_wire_bytes(&bytes).unwrap(), frame);
+    assert_eq!(
+        &FrameRef::from_wire_bytes(&bytes).unwrap().into_owned(),
+        frame
+    );
+}
+
+#[test]
+fn golden_super_batch_request() {
+    pin(
+        &Frame::SuperBatchCall(vec![one_call_batch().into(), one_call_batch().into()]),
+        "0b0200010000010166010102000000000001000001016601010200000000",
+    );
+}
+
+#[test]
+fn golden_keyed_requests() {
+    // A keyed body is the unkeyed body with the key (07 ac02 02) spliced
+    // in after the tag; a keyed super-batch splices one key per member.
+    pin(
+        &Frame::Call {
+            key: Some(KEY),
+            target: ObjectId(3),
+            method: "m".into(),
+            args: vec![Value::I32(1)],
+        },
+        "0d07ac020203016d010202",
+    );
+    pin(
+        &Frame::BatchCall(BatchCall {
+            key: Some(KEY),
+            request: one_call_batch(),
+        }),
+        "0e07ac02020001000001016601010200000000",
+    );
+    pin(
+        &Frame::SuperBatchCall(vec![
+            BatchCall {
+                key: Some(KEY),
+                request: one_call_batch(),
+            },
+            BatchCall {
+                key: Some(SECOND_KEY),
+                request: one_call_batch(),
+            },
+        ]),
+        "0f0207ac020200010000010166010102000000000801000001000001016601010200000000",
+    );
+}
+
+#[test]
+fn golden_traced_envelopes() {
+    // 10: traced, 01 02 00: ctx, then the bare frame's bytes untouched.
+    pin(
+        &Frame::BatchCall(BatchCall {
+            key: Some(KEY),
+            request: one_call_batch(),
+        })
+        .with_trace(Some(CTX)),
+        "100102000e07ac02020001000001016601010200000000",
+    );
+    pin(
+        &Frame::Return(Value::Null).with_trace(Some(CTX)),
+        "100102000100",
+    );
+}
+
+#[test]
+fn golden_control_and_reply_frames() {
+    pin(&Frame::ReleaseSession(SessionId(4)), "0504");
+    pin(
+        &Frame::Dirty {
+            ids: vec![ObjectId(1), ObjectId(2)],
+            lease_millis: 1000,
+        },
+        "07020102e807",
+    );
+    pin(&Frame::Leased { lease_millis: 1000 }, "08e807");
+    pin(
+        &Frame::Clean {
+            ids: vec![ObjectId(1)],
+        },
+        "090101",
+    );
+    pin(&Frame::Cleaned, "0a");
+    pin(
+        &Frame::SuperBatchReturn(vec![
+            Ok(BatchResponse::default()),
+            Err(ErrorEnvelope {
+                kind: "x".into(),
+                exception: "y".into(),
+                message: "z".into(),
+            }),
+        ]),
+        "0c0200000000000101780179017a",
+    );
 }

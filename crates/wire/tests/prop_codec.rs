@@ -6,7 +6,7 @@ use brmi_wire::invocation::{
     Arg, BatchRequest, BatchRequestRef, BatchResponse, CallSeq, CursorResult, ErrorEnvelope,
     ExceptionAction, InvocationData, PolicyRule, PolicySpec, SessionId, SlotOutcome, Target,
 };
-use brmi_wire::protocol::{Frame, FrameRef};
+use brmi_wire::protocol::{BatchCall, Frame, FrameRef, IdemKey, TraceCtx};
 use brmi_wire::value::{ObjectId, Value, ValueRef};
 use proptest::prelude::*;
 
@@ -168,7 +168,140 @@ fn arb_response() -> impl Strategy<Value = BatchResponse> {
         })
 }
 
+fn arb_key() -> impl Strategy<Value = IdemKey> {
+    (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(client_id, seq, acked)| IdemKey {
+        client_id,
+        seq,
+        acked,
+    })
+}
+
+fn arb_ctx() -> impl Strategy<Value = TraceCtx> {
+    (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(trace_id, span_id, parent)| TraceCtx {
+        trace_id,
+        span_id,
+        parent,
+    })
+}
+
+/// A request as some tier might send it: {call, batch, super-batch of
+/// 1..4} × {keyed, unkeyed} × {traced, bare}. A super-batch is keyed on
+/// every member or on none, as the relay builds them (the wire cannot
+/// carry a mix).
+fn arb_request_frame() -> impl Strategy<Value = Frame> {
+    let shape = prop_oneof![
+        (
+            proptest::option::of(arb_key()),
+            any::<u64>(),
+            "[a-z_]{1,16}",
+            proptest::collection::vec(arb_value(), 0..4),
+        )
+            .prop_map(|(key, target, method, args)| Frame::Call {
+                key,
+                target: ObjectId(target),
+                method,
+                args,
+            }),
+        (proptest::option::of(arb_key()), arb_request())
+            .prop_map(|(key, request)| Frame::BatchCall(BatchCall { key, request })),
+        (
+            any::<bool>(),
+            proptest::collection::vec((arb_key(), arb_request()), 1..5),
+        )
+            .prop_map(|(keyed, members)| Frame::SuperBatchCall(
+                members
+                    .into_iter()
+                    .map(|(key, request)| BatchCall {
+                        key: keyed.then_some(key),
+                        request,
+                    })
+                    .collect()
+            )),
+    ];
+    (shape, proptest::option::of(arb_ctx())).prop_map(|(frame, ctx)| frame.with_trace(ctx))
+}
+
+/// `frame` with every idempotency key removed.
+fn without_keys(frame: &Frame) -> Frame {
+    match frame.clone() {
+        Frame::Call {
+            target,
+            method,
+            args,
+            ..
+        } => Frame::Call {
+            key: None,
+            target,
+            method,
+            args,
+        },
+        Frame::BatchCall(call) => Frame::BatchCall(call.request.into()),
+        Frame::SuperBatchCall(members) => {
+            Frame::SuperBatchCall(members.into_iter().map(|m| m.request.into()).collect())
+        }
+        other => other,
+    }
+}
+
 proptest! {
+    #[test]
+    fn request_frame_round_trips(frame in arb_request_frame()) {
+        let bytes = frame.to_wire_bytes();
+        prop_assert_eq!(Frame::from_wire_bytes(&bytes).unwrap(), frame);
+    }
+
+    #[test]
+    fn borrowed_request_frame_decode_matches_owned(frame in arb_request_frame()) {
+        let bytes = frame.to_wire_bytes();
+        let borrowed = FrameRef::from_wire_bytes(&bytes).unwrap();
+        // The owned → borrowed bridge is the same view the decoder builds.
+        prop_assert_eq!(&frame.to_ref(), &borrowed);
+        prop_assert_eq!(borrowed.into_owned(), Frame::from_wire_bytes(&bytes).unwrap());
+    }
+
+    /// The law that lets the key be a field and the trace an envelope:
+    /// neither perturbs the bytes of what it annotates. A traced frame is
+    /// `[16] ++ ctx ++ bare`; a keyed call or batch is its unkeyed
+    /// encoding with the tag swapped and the key spliced in after it; a
+    /// keyed super-batch splices one key in front of every member.
+    #[test]
+    fn key_and_trace_splice_into_the_unkeyed_bare_bytes(frame in arb_request_frame()) {
+        let (ctx, bare) = frame.clone().split_trace();
+        let bare_bytes = bare.to_wire_bytes();
+        if let Some(ctx) = ctx {
+            let mut expected = vec![16];
+            expected.extend(ctx.to_wire_bytes());
+            expected.extend(&bare_bytes);
+            prop_assert_eq!(frame.to_wire_bytes(), expected);
+        }
+
+        let unkeyed_bytes = without_keys(&bare).to_wire_bytes();
+        let splice = |keyed_tag: u8, key: &IdemKey| {
+            let mut spliced = vec![keyed_tag];
+            spliced.extend(key.to_wire_bytes());
+            spliced.extend(&unkeyed_bytes[1..]);
+            spliced
+        };
+        let expected = match &bare {
+            Frame::Call { key: Some(key), .. } => splice(13, key),
+            Frame::BatchCall(BatchCall { key: Some(key), .. }) => splice(14, key),
+            Frame::SuperBatchCall(members) if members[0].key.is_some() => {
+                let mut enc = Encoder::new();
+                enc.put_u8(15);
+                enc.put_varint(members.len() as u64);
+                for member in members {
+                    member.key.expect("uniformly keyed").encode(&mut enc);
+                    member.request.encode(&mut enc);
+                }
+                prop_assert_eq!(&unkeyed_bytes[..2], &[11, members.len() as u8]);
+                enc.into_bytes()
+            }
+            _ => unkeyed_bytes.clone(),
+        };
+        prop_assert_eq!(&bare_bytes, &expected);
+        prop_assert_eq!(bare.is_retry_safe(), bare_bytes != unkeyed_bytes);
+    }
+
     #[test]
     fn value_round_trips_at_both_widths(value in arb_value()) {
         use brmi_wire::codec::IntWidth;
@@ -210,7 +343,7 @@ proptest! {
 
     #[test]
     fn frame_round_trips_via_batch(req in arb_request()) {
-        let frame = Frame::BatchCall(req);
+        let frame = Frame::BatchCall(req.into());
         let bytes = frame.to_wire_bytes();
         prop_assert_eq!(Frame::from_wire_bytes(&bytes).unwrap(), frame);
     }
@@ -250,7 +383,7 @@ proptest! {
 
     #[test]
     fn borrowed_frame_decode_matches_owned(req in arb_request()) {
-        let frame = Frame::BatchCall(req);
+        let frame = Frame::BatchCall(req.into());
         let bytes = frame.to_wire_bytes();
         let borrowed = FrameRef::from_wire_bytes(&bytes).unwrap();
         prop_assert!(matches!(borrowed, FrameRef::BatchCall(_)));
