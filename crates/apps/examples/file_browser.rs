@@ -7,25 +7,27 @@
 //! cargo run -p brmi-apps --example file_browser
 //! ```
 
-use std::sync::Arc;
+#[cfg(target_os = "linux")]
+fn main() -> Result<(), brmi_wire::RemoteError> {
+    use std::sync::Arc;
 
-use brmi::BatchExecutor;
-use brmi_apps::fileserver::{
-    brmi_delete_older_than, brmi_listing, rmi_listing, DirectorySkeleton, DirectoryStub,
-    InMemoryDirectory,
-};
-use brmi_rmi::{Connection, RmiServer};
-use brmi_transport::tcp::{TcpServer, TcpTransport};
-use brmi_wire::{DateMillis, RemoteError};
+    use brmi::BatchExecutor;
+    use brmi_apps::fileserver::{
+        brmi_delete_older_than, brmi_listing, rmi_listing, DirectorySkeleton, DirectoryStub,
+        InMemoryDirectory,
+    };
+    use brmi_rmi::{Connection, RmiServer};
+    use brmi_transport::reactor::ReactorServer;
+    use brmi_transport::tcp::TcpTransport;
+    use brmi_wire::DateMillis;
 
-fn main() -> Result<(), RemoteError> {
     // --- server ----------------------------------------------------------
     let server = RmiServer::new();
     BatchExecutor::install(&server);
     let directory = InMemoryDirectory::new();
     directory.populate(8, 2048); // 8 files, modified at t=0s,1s,...,7s
     server.bind("files", DirectorySkeleton::remote_arc(directory))?;
-    let tcp = TcpServer::bind("127.0.0.1:0", server.clone())?;
+    let tcp = ReactorServer::bind("127.0.0.1:0", server.clone())?;
     println!(
         "file server listening on rmi://{}/files\n",
         tcp.local_addr()
@@ -60,4 +62,10 @@ fn main() -> Result<(), RemoteError> {
         println!("  {:<8} lastModified={}", row.name, row.last_modified);
     }
     Ok(())
+}
+
+#[cfg(not(target_os = "linux"))]
+fn main() -> std::process::ExitCode {
+    eprintln!("file_browser requires Linux (the file server is epoll-based)");
+    std::process::ExitCode::FAILURE
 }

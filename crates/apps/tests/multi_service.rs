@@ -1,6 +1,8 @@
 //! Cross-application integration: every case-study service on ONE server,
 //! reached over real TCP by concurrent clients mixing RMI and BRMI.
 
+#![cfg(target_os = "linux")]
+
 use std::sync::Arc;
 
 use brmi::policy::AbortPolicy;
@@ -12,9 +14,10 @@ use brmi_apps::noop::{BNoop, NoopServer, NoopSkeleton};
 use brmi_apps::simulation::{brmi_run, SimulationServer, SimulationSkeleton};
 use brmi_apps::translator::{brmi_translate_all, DictionaryTranslator, TranslatorSkeleton, Word};
 use brmi_rmi::{Connection, RmiServer};
-use brmi_transport::tcp::{TcpServer, TcpTransport};
+use brmi_transport::reactor::ReactorServer;
+use brmi_transport::tcp::TcpTransport;
 
-fn full_server() -> (Arc<RmiServer>, TcpServer) {
+fn full_server() -> (Arc<RmiServer>, ReactorServer) {
     let server = RmiServer::new();
     BatchExecutor::install(&server);
 
@@ -52,7 +55,7 @@ fn full_server() -> (Arc<RmiServer>, TcpServer) {
         )
         .unwrap();
 
-    let tcp = TcpServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let tcp = ReactorServer::bind("127.0.0.1:0", server.clone()).unwrap();
     (server, tcp)
 }
 

@@ -108,14 +108,16 @@ fn run_bank_keyed(
     for i in 0..programs.len() {
         bank.open_account(&format!("cust{i}"), ACCOUNT_LIMIT);
     }
-    let relay = BatchRelay::with_upstream_retry(
-        lossy_link(
-            InProcTransport::new(origin.clone()),
-            seed ^ 0x5EED_0F0A_11AC_E5ED,
-            drop_per_mille,
+    let relay = BatchRelay::new(
+        RetryTransport::over(
+            lossy_link(
+                InProcTransport::new(origin.clone()),
+                seed ^ 0x5EED_0F0A_11AC_E5ED,
+                drop_per_mille,
+            ),
+            retry_policy(),
         ),
         relay_policy(budget),
-        retry_policy(),
     );
 
     let gate = Arc::new(Barrier::new(programs.len()));
@@ -190,14 +192,16 @@ fn run_list_keyed(
             )
             .expect("fresh bind");
     }
-    let relay = BatchRelay::with_upstream_retry(
-        lossy_link(
-            InProcTransport::new(origin.clone()),
-            seed ^ 0x5EED_0F0A_11AC_E5ED,
-            drop_per_mille,
+    let relay = BatchRelay::new(
+        RetryTransport::over(
+            lossy_link(
+                InProcTransport::new(origin.clone()),
+                seed ^ 0x5EED_0F0A_11AC_E5ED,
+                drop_per_mille,
+            ),
+            retry_policy(),
         ),
         relay_policy(budget),
-        retry_policy(),
     );
 
     let gate = Arc::new(Barrier::new(programs.len()));

@@ -1,11 +1,11 @@
 //! Every case-study scenario over the reactor transport.
 //!
-//! The blocking `TcpServer` already proves the middleware works over real
-//! sockets; this suite proves the epoll reactor server is a drop-in
-//! replacement — bank, list and translator clients (RMI and BRMI alike)
-//! behave identically over it, concurrent clients multiplex onto a fixed
-//! set of reactor threads, and the server sustains well over a hundred
-//! simultaneous connections with no thread per connection.
+//! The epoll reactor is the one TCP server; this suite proves every
+//! application runs over it unchanged — bank, list and translator clients
+//! (RMI and BRMI alike) behave identically over it, concurrent clients
+//! multiplex onto a fixed set of reactor threads, and the server sustains
+//! well over a hundred simultaneous connections with no thread per
+//! connection.
 
 #![cfg(target_os = "linux")]
 

@@ -1,11 +1,9 @@
 //! Client → edge → origin scenarios: application workloads executed
 //! through a [`BatchRelay`] must be observably identical to direct
 //! execution, and faults on the edge↔origin hop must surface as per-client
-//! batch errors with at-most-once execution. The bank scenario's TCP edge
-//! runs on the epoll reactor with worker-pool dispatch (the relay's
-//! blocking flush-wait parks on dispatch workers, not event-loop threads);
-//! the disconnect scenario keeps a thread-per-connection `TcpServer` edge,
-//! which remains a supported small-deployment configuration.
+//! batch errors with at-most-once execution. Every TCP edge runs on the
+//! epoll reactor with worker-pool dispatch: the relay's blocking
+//! flush-wait parks on dispatch workers, not event-loop threads.
 
 #![cfg(target_os = "linux")]
 
@@ -23,7 +21,6 @@ use brmi_transport::inproc::InProcTransport;
 use brmi_transport::pool::TcpPool;
 use brmi_transport::reactor::{ReactorConfig, ReactorServer};
 use brmi_transport::relay::{BatchRelay, RelayPolicy};
-use brmi_transport::tcp::TcpServer;
 use brmi_transport::{clock::SleepClock, Transport};
 use brmi_wire::RemoteErrorKind;
 
@@ -258,14 +255,20 @@ fn mid_run_origin_disconnect_over_tcp_preserves_at_most_once() {
     origin
         .bind("noop", NoopSkeleton::remote_arc(noop.clone()))
         .unwrap();
-    let mut origin_server = TcpServer::bind("127.0.0.1:0", origin).unwrap();
+    let mut origin_server = ReactorServer::bind("127.0.0.1:0", origin).unwrap();
     let upstream = Arc::new(TcpPool::connect(origin_server.local_addr()).unwrap());
     let relay = BatchRelay::new(Arc::clone(&upstream) as Arc<dyn Transport>, policy(2, 4));
-    // Deliberately a thread-per-connection edge: the relay behind a
-    // TcpServer stays a supported small-deployment configuration (the
-    // reactor-with-worker-pool edge is covered by the bank scenario above
-    // and the relay stress workload).
-    let mut edge = TcpServer::bind("127.0.0.1:0", relay.clone()).unwrap();
+    // One dispatch worker per client: each parks in the relay's blocking
+    // flush-wait, which would stall the reactor threads if run inline.
+    let mut edge = ReactorServer::bind_with(
+        "127.0.0.1:0",
+        relay.clone(),
+        ReactorConfig {
+            dispatch_workers: 2,
+            ..ReactorConfig::default()
+        },
+    )
+    .unwrap();
     let pool = Arc::new(TcpPool::connect(edge.local_addr()).unwrap());
 
     let calls_per_batch = 4usize;

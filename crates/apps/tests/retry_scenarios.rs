@@ -1,9 +1,12 @@
 //! End-to-end keyed retry over real TCP: the origin process (its
 //! `RmiServer`, executor, bank state and reply cache) stays up while its
 //! TCP listener dies and comes back — the worst realistic outage for a
-//! pooled client. A keyed connection over [`TcpPool`] rides through the
-//! restart: stale idle sockets are discarded, keyed frames are re-sent,
-//! and the origin charges every purchase exactly once.
+//! pooled client. A keyed connection over a [`TcpPool`] wrapped in a
+//! [`RetryTransport`] rides through the restart: stale idle sockets are
+//! discarded, keyed frames are re-sent, and the origin charges every
+//! purchase exactly once.
+
+#![cfg(target_os = "linux")]
 
 use std::sync::Arc;
 
@@ -14,7 +17,6 @@ use brmi_transport::mux::MuxClient;
 use brmi_transport::pool::TcpPool;
 use brmi_transport::reactor::ReactorServer;
 use brmi_transport::retry::{RetryPolicy, RetryTransport};
-use brmi_transport::tcp::TcpServer;
 use brmi_transport::Transport;
 use brmi_wire::RemoteError;
 
@@ -28,14 +30,10 @@ fn keyed_sessions_ride_through_a_listener_restart() {
         .expect("fresh origin bind");
     bank.open_account("carol", 1000.0);
 
-    let mut tcp = TcpServer::bind("127.0.0.1:0", origin.clone()).expect("bind");
+    let mut tcp = ReactorServer::bind("127.0.0.1:0", origin.clone()).expect("bind");
     let addr = tcp.local_addr();
-    let pool = Arc::new(
-        TcpPool::connect(addr)
-            .expect("dial")
-            .with_retry_policy(RetryPolicy::immediate(8)),
-    );
-    let conn = Connection::new_keyed(Arc::clone(&pool) as Arc<dyn Transport>);
+    let pool = Arc::new(TcpPool::connect(addr).expect("dial"));
+    let conn = Connection::new_keyed(RetryTransport::over(pool, RetryPolicy::immediate(8)));
     let root = conn.lookup("bank").expect("lookup");
 
     let first = brmi_purchase_session(&conn, &root, "carol", &[100.0, 50.0]).expect("session 1");
@@ -43,7 +41,7 @@ fn keyed_sessions_ride_through_a_listener_restart() {
 
     // Kill only the listener; the origin (and its reply cache) lives on.
     tcp.shutdown();
-    let _tcp = TcpServer::bind(addr, origin.clone()).expect("rebind on the same port");
+    let _tcp = ReactorServer::bind(addr, origin.clone()).expect("rebind on the same port");
 
     // The pool's idle sockets are now dead. Keyed traffic redials and
     // re-sends; nothing surfaces to the application.

@@ -3,6 +3,8 @@
 //! concurrent chained-batch sessions all have to work over actual
 //! sockets, not just the in-process transport.
 
+#![cfg(target_os = "linux")]
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,12 +18,13 @@ use brmi_apps::implicit_clients::{implicit_listing, implicit_nth_value};
 use brmi_apps::list::{BRemoteList, ListNode, RemoteListSkeleton, RemoteListStub};
 use brmi_rmi::{Connection, DgcConfig, LeaseHolder, RmiServer};
 use brmi_transport::clock::{Clock, VirtualClock};
-use brmi_transport::tcp::{TcpServer, TcpTransport};
+use brmi_transport::reactor::ReactorServer;
+use brmi_transport::tcp::TcpTransport;
 use brmi_wire::RemoteErrorKind;
 
 struct TcpRig {
     server: Arc<RmiServer>,
-    tcp: TcpServer,
+    tcp: ReactorServer,
     clock: Arc<VirtualClock>,
 }
 
@@ -54,7 +57,7 @@ fn rig() -> TcpRig {
         )
         .unwrap();
 
-    let tcp = TcpServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let tcp = ReactorServer::bind("127.0.0.1:0", server.clone()).unwrap();
     TcpRig { server, tcp, clock }
 }
 

@@ -10,7 +10,8 @@ use brmi::{Batch, BatchExecutor};
 use brmi_rmi::{Connection, RmiServer};
 use brmi_transport::fault::{FaultPlan, FaultyTransport};
 use brmi_transport::inproc::InProcTransport;
-use brmi_transport::tcp::{TcpServer, TcpTransport};
+#[cfg(target_os = "linux")]
+use brmi_transport::{reactor::ReactorServer, tcp::TcpTransport};
 use brmi_wire::RemoteErrorKind;
 use common::{BNode, NodeSkeleton, NodeStub, TestNode};
 
@@ -79,6 +80,7 @@ fn chained_batch_recovers_nothing_after_transport_loss() {
 }
 
 #[test]
+#[cfg(target_os = "linux")]
 fn batching_works_over_real_tcp() {
     let server = RmiServer::new();
     BatchExecutor::install(&server);
@@ -86,7 +88,7 @@ fn batching_works_over_real_tcp() {
     *root.next.lock() = Some(TestNode::new("n1", 32));
     server.bind("root", NodeSkeleton::remote_arc(root)).unwrap();
 
-    let tcp = TcpServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let tcp = ReactorServer::bind("127.0.0.1:0", server.clone()).unwrap();
     let transport = TcpTransport::connect(tcp.local_addr()).unwrap();
     let conn = Connection::new(Arc::new(transport));
     let reference = conn.lookup("root").unwrap();
@@ -107,6 +109,7 @@ fn batching_works_over_real_tcp() {
 }
 
 #[test]
+#[cfg(target_os = "linux")]
 fn chained_batches_work_over_real_tcp() {
     let server = RmiServer::new();
     let executor = BatchExecutor::install(&server);
@@ -116,7 +119,7 @@ fn chained_batches_work_over_real_tcp() {
         .bind("root", NodeSkeleton::remote_arc(root.clone()))
         .unwrap();
 
-    let tcp = TcpServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let tcp = ReactorServer::bind("127.0.0.1:0", server.clone()).unwrap();
     let conn = Connection::new(Arc::new(TcpTransport::connect(tcp.local_addr()).unwrap()));
     let reference = conn.lookup("root").unwrap();
 

@@ -4,11 +4,12 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use brmi_rmi::{
-    no_such_method, CallCtx, Connection, InArg, Naming, OutValue, RemoteObject, RmiServer,
-};
+#[cfg(target_os = "linux")]
+use brmi_rmi::Naming;
+use brmi_rmi::{no_such_method, CallCtx, Connection, InArg, OutValue, RemoteObject, RmiServer};
 use brmi_transport::inproc::InProcTransport;
-use brmi_transport::tcp::TcpServer;
+#[cfg(target_os = "linux")]
+use brmi_transport::reactor::ReactorServer;
 use brmi_wire::{RemoteError, RemoteErrorKind, Value};
 
 struct Echo(&'static str);
@@ -85,10 +86,11 @@ fn registry_names_lists_bindings() {
 }
 
 #[test]
+#[cfg(target_os = "linux")]
 fn naming_lookup_over_tcp() {
     let server = RmiServer::new();
     server.bind("echo", Arc::new(Echo("tcp"))).unwrap();
-    let tcp = TcpServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let tcp = ReactorServer::bind("127.0.0.1:0", server.clone()).unwrap();
     let url = format!("rmi://{}/echo", tcp.local_addr());
 
     let reference = Naming::lookup(&url).unwrap();
@@ -105,10 +107,11 @@ fn naming_lookup_over_tcp() {
 }
 
 #[test]
+#[cfg(target_os = "linux")]
 fn many_clients_share_one_registry() {
     let server = RmiServer::new();
     server.bind("echo", Arc::new(Echo("shared"))).unwrap();
-    let tcp = TcpServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let tcp = ReactorServer::bind("127.0.0.1:0", server.clone()).unwrap();
     let addr = tcp.local_addr();
 
     let handles: Vec<_> = (0..6)

@@ -2,10 +2,10 @@
 //!
 //! A frame travels as a 4-byte little-endian length followed by the encoded
 //! frame bytes. The helpers here are used by the blocking client
-//! ([`crate::tcp::TcpTransport`]), the pooled client ([`crate::pool::TcpPool`])
-//! and the thread-per-connection server ([`crate::tcp::TcpServer`]); the
-//! reactor server ([`crate::reactor`]) shares the constants but parses frames
-//! incrementally out of its nonblocking read buffer.
+//! ([`crate::tcp::TcpTransport`]) and the pooled client
+//! ([`crate::pool::TcpPool`]); the reactor server ([`crate::reactor`]) shares
+//! the constants but parses frames incrementally out of its nonblocking read
+//! buffer.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};

@@ -17,9 +17,6 @@ use crate::{RequestHandler, Transport, TransportStats};
 pub struct InProcTransport {
     handler: Arc<dyn RequestHandler>,
     stats: Arc<TransportStats>,
-    /// When false, frames are passed through without an encode/decode cycle
-    /// (fast path for CPU benchmarks of the layers above).
-    verify_codec: bool,
     /// Reused (request, reply) frame buffers. Taken out of the mutex for
     /// the duration of a round trip so a re-entrant or concurrent request
     /// simply allocates fresh buffers instead of blocking.
@@ -33,17 +30,6 @@ impl InProcTransport {
         InProcTransport {
             handler,
             stats: TransportStats::new(),
-            verify_codec: true,
-            scratch: Mutex::new(Default::default()),
-        }
-    }
-
-    /// Creates a transport that skips the codec round trip.
-    pub fn without_codec(handler: Arc<dyn RequestHandler>) -> Self {
-        InProcTransport {
-            handler,
-            stats: TransportStats::new(),
-            verify_codec: false,
             scratch: Mutex::new(Default::default()),
         }
     }
@@ -56,17 +42,12 @@ impl InProcTransport {
 
 impl std::fmt::Debug for InProcTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InProcTransport")
-            .field("verify_codec", &self.verify_codec)
-            .finish_non_exhaustive()
+        f.debug_struct("InProcTransport").finish_non_exhaustive()
     }
 }
 
 impl Transport for InProcTransport {
     fn request(&self, frame: Frame) -> Result<Frame, RemoteError> {
-        if !self.verify_codec {
-            return Ok(self.handler.handle(frame));
-        }
         let (mut request_buf, mut reply_buf) = std::mem::take(&mut *self.scratch.lock());
         frame.encode_into(&mut request_buf);
         let result = (|| {
@@ -120,20 +101,5 @@ mod tests {
         );
         assert_eq!(transport.stats().requests(), 1);
         assert!(transport.stats().bytes_sent() > 0);
-    }
-
-    #[test]
-    fn without_codec_skips_stats() {
-        let transport = InProcTransport::without_codec(Arc::new(EchoHandler));
-        let reply = transport
-            .request(Frame::Call {
-                key: None,
-                target: ObjectId(1),
-                method: "echo".into(),
-                args: vec![],
-            })
-            .unwrap();
-        assert_eq!(reply, Frame::Return(Value::List(vec![])));
-        assert_eq!(transport.stats().requests(), 0);
     }
 }

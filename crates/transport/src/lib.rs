@@ -3,11 +3,10 @@
 //! Pluggable transports carrying [`Frame`]s between a BRMI client and server:
 //!
 //! * [`inproc`] — direct dispatch into a server handler, for unit tests;
-//! * [`tcp`] — length-prefixed frames over real sockets, proving the
-//!   middleware works across process boundaries; thread-per-connection
-//!   server, one-socket client;
-//! * [`reactor`] — the scale path: an epoll event loop serving hundreds of
-//!   concurrent connections from a fixed set of reactor threads
+//! * [`tcp`] — the one-socket blocking client: length-prefixed frames over
+//!   a real socket, one request at a time;
+//! * [`reactor`] — the one TCP server: an epoll event loop serving hundreds
+//!   of concurrent connections from a fixed set of reactor threads
 //!   (Linux-only);
 //! * [`pool`] — the client counterpart: a connection pool checking sockets
 //!   out per round trip, so threads sharing one transport are not
@@ -18,7 +17,8 @@
 //! * [`relay`] — the multi-tier edge node: coalesces batch frames from many
 //!   downstream clients into upstream super-batches over any of the above;
 //! * [`retry`] — reconnect-and-retry with capped exponential backoff for
-//!   keyed (retry-safe) traffic; unkeyed traffic keeps at-most-once;
+//!   keyed (retry-safe) traffic, the one re-send loop, layered over any
+//!   client above; unkeyed traffic keeps at-most-once;
 //! * [`sim`] — the experimental testbed: real frames, simulated network cost
 //!   charged to a [virtual clock](clock::VirtualClock) according to a
 //!   [`NetworkProfile`];

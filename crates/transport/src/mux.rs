@@ -62,11 +62,10 @@
 //!   origin's reply cache answers the re-sent key with the recorded reply
 //!   instead of executing again.
 //!
-//! The server side must understand the correlation envelope; in this crate
-//! that is the [`reactor`](crate::reactor) server (pair it with
+//! The server side must understand the correlation envelope; the crate's
+//! one TCP server, the [`reactor`](crate::reactor), does (pair it with
 //! [`ReactorConfig::dispatch_workers`](crate::reactor::ReactorConfig) when
-//! handlers block). The thread-per-connection
-//! [`TcpServer`](crate::tcp::TcpServer) does not speak it.
+//! handlers block).
 
 use std::collections::HashMap;
 use std::io::Read;

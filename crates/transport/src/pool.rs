@@ -17,31 +17,25 @@
 //! EOF, errors or stray bytes disqualify it) and discards dead ones in
 //! favour of a fresh dial.
 //!
-//! Once a request has been *written*, what happens on failure depends on
-//! the frame's delivery mode:
-//!
-//! * **At-most-once** (plain calls and batches): the failure is never
-//!   retried. After the write the server may already have executed the
-//!   call, and replaying a non-idempotent request such as a purchase would
-//!   double-apply it. The failed connection is discarded and the error
-//!   surfaced to the caller.
-//! * **Retry-safe exactly-once visible** (requests carrying an
-//!   idempotency key, [`Frame::is_retry_safe`]): the pool redials and re-sends the frame
-//!   verbatim under its [`RetryPolicy`] (capped exponential backoff).
-//!   Re-sending is safe even when only the reply was lost, because the
-//!   origin's reply cache deduplicates by idempotency key and answers a
-//!   re-sent key with the recorded reply instead of executing again.
+//! Once a request has been *written*, a failure is never re-sent here:
+//! the broken connection is discarded (the next checkout dials fresh) and
+//! the transport error surfaced to the caller. After the write the server
+//! may already have executed the call, and replaying a non-idempotent
+//! request such as a purchase would double-apply it. Keyed traffic that
+//! may be re-sent ([`Frame::is_retry_safe`]) gets its retries from the one
+//! retry layer, `RetryTransport::over(Arc::new(pool), policy)` (see
+//! [`crate::retry`]); each re-send then lands on a freshly checked-out
+//! connection.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-use brmi_obs::{Counter, MetricsSnapshot, Registry, Snapshot};
+use brmi_obs::{MetricsSnapshot, Registry, Snapshot};
 use brmi_wire::protocol::Frame;
 use brmi_wire::RemoteError;
 use parking_lot::Mutex;
 
 use crate::framing::ClientConn;
-use crate::retry::RetryPolicy;
 use crate::{Transport, TransportStats};
 
 /// Default cap on idle connections retained between round trips.
@@ -55,8 +49,6 @@ pub struct TcpPool {
     addr: SocketAddr,
     idle: Mutex<Vec<ClientConn>>,
     max_idle: usize,
-    retry: RetryPolicy,
-    retries: Counter,
     stats: Arc<TransportStats>,
 }
 
@@ -86,32 +78,14 @@ impl TcpPool {
             addr,
             idle: Mutex::new(vec![conn]),
             max_idle: max_idle.max(1),
-            retry: RetryPolicy::default(),
-            retries: Counter::default(),
             stats: TransportStats::new(),
         })
     }
 
-    /// Replaces the retry policy governing retry-safe (keyed) frames.
-    /// Unkeyed traffic is unaffected — it is never retried regardless of
-    /// the policy (see the [module docs](self)).
-    #[must_use]
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Re-sends performed for retry-safe frames (excludes first attempts).
-    pub fn retries(&self) -> u64 {
-        self.retries.value()
-    }
-
     /// Registers this pool's metric cells with `registry`: the shared
-    /// `transport_*` families labeled `tier="pool"`, plus `pool_retries`
-    /// counting re-sends of retry-safe frames.
+    /// `transport_*` families labeled `tier="pool"`.
     pub fn register_metrics(&self, registry: &Registry) {
         self.stats.register_metrics(registry, "pool");
-        registry.register_counter("pool_retries", &[], &self.retries);
     }
 
     /// The server address this pool dials.
@@ -152,23 +126,6 @@ impl TcpPool {
             idle.push(conn);
         }
     }
-
-    /// One checkout/round-trip/checkin attempt. Every error returned here
-    /// is transport-kind: either the dial failed or the connection broke
-    /// mid-round-trip (in which case it is dropped, never pooled again).
-    fn try_once(&self, frame: &Frame) -> Result<Frame, RemoteError> {
-        let mut conn = self.checkout()?;
-        match conn.round_trip(frame) {
-            Ok((reply, bytes)) => {
-                self.stats.record(bytes.sent, bytes.received);
-                self.checkin(conn);
-                Ok(reply)
-            }
-            // The connection is dropped either way; whether the *frame* is
-            // replayed is decided by the caller's delivery mode.
-            Err(err) => Err(RemoteError::transport(format!("round trip failed: {err}"))),
-        }
-    }
 }
 
 impl std::fmt::Debug for TcpPool {
@@ -190,36 +147,25 @@ impl Snapshot for TcpPool {
 }
 
 impl Transport for TcpPool {
+    /// One checkout/round-trip/checkin. Every error returned here is
+    /// transport-kind: either the dial failed or the connection broke
+    /// mid-round-trip (in which case it is dropped, never pooled again).
     fn request(&self, frame: Frame) -> Result<Frame, RemoteError> {
-        // Keyed frames may be re-sent (the origin dedupes them); everything
-        // else keeps the classic single attempt — see the module docs.
-        let budget = if frame.is_retry_safe() {
-            self.retry.max_attempts.max(1)
-        } else {
-            1
-        };
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.try_once(&frame) {
-                Ok(reply) => return Ok(reply),
-                Err(err) if attempt >= budget => return Err(err),
-                Err(_) => {
-                    self.retries.inc();
-                    let delay = self.retry.delay_for(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                }
-            }
-        }
+        let mut conn = self.checkout()?;
+        let (reply, bytes) = conn
+            .round_trip(&frame)
+            .map_err(|err| RemoteError::transport(format!("round trip failed: {err}")))?;
+        self.stats.record(bytes.sent, bytes.received);
+        self.checkin(conn);
+        Ok(reply)
     }
 }
 
 #[cfg(test)]
+#[cfg(target_os = "linux")]
 mod tests {
     use super::*;
-    use crate::tcp::TcpServer;
+    use crate::reactor::{ReactorConfig, ReactorServer};
     use crate::RequestHandler;
     use brmi_wire::value::Value;
     use brmi_wire::ObjectId;
@@ -227,7 +173,8 @@ mod tests {
     use std::sync::Barrier;
 
     /// Echoes after blocking until `gate` threads are inside the handler —
-    /// proves round trips genuinely overlap.
+    /// proves round trips genuinely overlap. A gated echo blocks, so its
+    /// server needs one dispatch worker per party ([`gated_server`]).
     struct GatedEcho {
         gate: Option<Barrier>,
         entered: AtomicUsize,
@@ -262,6 +209,14 @@ mod tests {
         }
     }
 
+    fn gated_server(parties: usize) -> ReactorServer {
+        let config = ReactorConfig {
+            dispatch_workers: parties,
+            ..ReactorConfig::default()
+        };
+        ReactorServer::bind_with("127.0.0.1:0", GatedEcho::gated(parties), config).unwrap()
+    }
+
     fn call(args: Vec<Value>) -> Frame {
         Frame::Call {
             key: None,
@@ -273,7 +228,7 @@ mod tests {
 
     #[test]
     fn sequential_requests_reuse_one_connection() {
-        let server = TcpServer::bind("127.0.0.1:0", GatedEcho::plain()).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", GatedEcho::plain()).unwrap();
         let pool = TcpPool::connect(server.local_addr()).unwrap();
         for i in 0..20 {
             let reply = pool.request(call(vec![Value::I32(i)])).unwrap();
@@ -289,7 +244,7 @@ mod tests {
         // can only happen if the pool runs them on 4 distinct sockets; a
         // single serialized connection would deadlock here.
         let parties = 4;
-        let server = TcpServer::bind("127.0.0.1:0", GatedEcho::gated(parties)).unwrap();
+        let server = gated_server(parties);
         let pool = Arc::new(TcpPool::connect(server.local_addr()).unwrap());
         let handles: Vec<_> = (0..parties)
             .map(|i| {
@@ -310,7 +265,7 @@ mod tests {
     #[test]
     fn idle_cap_closes_surplus_connections() {
         let parties = 4;
-        let server = TcpServer::bind("127.0.0.1:0", GatedEcho::gated(parties)).unwrap();
+        let server = gated_server(parties);
         let pool = Arc::new(TcpPool::with_max_idle(server.local_addr(), 2).unwrap());
         let handles: Vec<_> = (0..parties)
             .map(|_| {
@@ -329,7 +284,7 @@ mod tests {
         // First server dies after the pool has a warm connection to it;
         // the checkout probe must notice the EOF and dial fresh instead of
         // writing a request into a dead socket...
-        let mut first = TcpServer::bind("127.0.0.1:0", GatedEcho::plain()).unwrap();
+        let mut first = ReactorServer::bind("127.0.0.1:0", GatedEcho::plain()).unwrap();
         let addr = first.local_addr();
         let pool = TcpPool::connect(addr).unwrap();
         pool.request(call(vec![Value::I32(1)])).unwrap();
@@ -337,7 +292,7 @@ mod tests {
         // ...and a new server reuses the exact address, which usually
         // succeeds immediately after shutdown on loopback. If the OS
         // refuses the rebind, skip rather than flake.
-        let Ok(second) = TcpServer::bind(addr, GatedEcho::plain()) else {
+        let Ok(second) = ReactorServer::bind(addr, GatedEcho::plain()) else {
             return;
         };
         let reply = pool.request(call(vec![Value::I32(2)])).unwrap();
@@ -345,88 +300,9 @@ mod tests {
         drop(second);
     }
 
-    /// A hand-rolled server that reads `drop_replies` requests and hangs up
-    /// on each without answering, then serves subsequent connections
-    /// properly. Lets the tests below exercise the written-but-unanswered
-    /// window that the checkout liveness probe cannot catch.
-    fn flaky_server(drop_replies: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        use brmi_wire::WireCodec;
-        let handle = std::thread::spawn(move || {
-            for _ in 0..drop_replies {
-                let (mut peer, _) = listener.accept().unwrap();
-                let mut buf = Vec::new();
-                // Read the request so the client's write succeeds, then
-                // hang up: the reply is lost after execution would have
-                // happened.
-                let _ = crate::framing::read_frame_bytes(&mut peer, &mut buf);
-            }
-            let (mut peer, _) = listener.accept().unwrap();
-            let mut buf = Vec::new();
-            let mut out = Vec::new();
-            while let Ok(true) = crate::framing::read_frame_bytes(&mut peer, &mut buf) {
-                let reply = match Frame::from_wire_bytes(&buf).unwrap() {
-                    Frame::Call { key: Some(key), .. } => Frame::Return(Value::I64(key.seq as i64)),
-                    _ => Frame::Return(Value::Null),
-                };
-                crate::framing::write_frame(&mut peer, &reply, &mut out).unwrap();
-            }
-        });
-        (addr, handle)
-    }
-
-    fn keyed(seq: u64) -> Frame {
-        Frame::Call {
-            key: Some(brmi_wire::protocol::IdemKey {
-                client_id: 9,
-                seq,
-                acked: 0,
-            }),
-            target: ObjectId(1),
-            method: "echo".into(),
-            args: vec![],
-        }
-    }
-
-    #[test]
-    fn keyed_request_is_resent_after_reply_loss() {
-        use crate::retry::RetryPolicy;
-        let (addr, server) = flaky_server(2);
-        let pool = TcpPool::connect(addr)
-            .unwrap()
-            .with_retry_policy(RetryPolicy::immediate(5));
-        // The pooled warm connection gets hung up on, as does the first
-        // redial; the third attempt lands on the well-behaved connection.
-        let reply = pool.request(keyed(42)).unwrap();
-        assert_eq!(reply, Frame::Return(Value::I64(42)));
-        assert_eq!(pool.retries(), 2);
-        drop(pool);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn unkeyed_request_is_never_resent() {
-        use crate::retry::RetryPolicy;
-        let (addr, server) = flaky_server(1);
-        let pool = TcpPool::connect(addr)
-            .unwrap()
-            .with_retry_policy(RetryPolicy::immediate(5));
-        // At-most-once: the lost reply surfaces as an error instead of a
-        // replay, even though the policy would allow five attempts.
-        assert!(pool.request(call(vec![])).is_err());
-        assert_eq!(pool.retries(), 0);
-        // The pool itself is still healthy: a fresh request dials the
-        // well-behaved connection.
-        let reply = pool.request(call(vec![Value::I32(7)])).unwrap();
-        assert_eq!(reply, Frame::Return(Value::Null));
-        drop(pool);
-        server.join().unwrap();
-    }
-
     #[test]
     fn connect_failure_is_a_transport_error() {
-        let mut server = TcpServer::bind("127.0.0.1:0", GatedEcho::plain()).unwrap();
+        let mut server = ReactorServer::bind("127.0.0.1:0", GatedEcho::plain()).unwrap();
         let addr = server.local_addr();
         server.shutdown();
         match TcpPool::connect(addr) {

@@ -2,15 +2,14 @@
 //!
 //! # Architecture
 //!
-//! The thread-per-connection [`TcpServer`](crate::tcp::TcpServer) caps out
-//! at a handful of peers — every idle connection pins a stack, and the
-//! scheduler thrashes long before the "hundreds of clients" a batching
-//! server must multiplex (the whole point of amortizing round trips is
-//! moot if the server can only hold a few of them open). This module is
-//! the concurrency layer: a hand-rolled epoll event loop — raw
-//! `extern "C"` syscall declarations in [`sys`], no external runtime —
-//! driving nonblocking sockets, so a fixed set of reactor threads serves
-//! any number of connections.
+//! A thread-per-connection server caps out at a handful of peers — every
+//! idle connection pins a stack, and the scheduler thrashes long before
+//! the "hundreds of clients" a batching server must multiplex (the whole
+//! point of amortizing round trips is moot if the server can only hold a
+//! few of them open). This module is the crate's one TCP server: a
+//! hand-rolled epoll event loop — raw `extern "C"` syscall declarations in
+//! [`sys`], no external runtime — driving nonblocking sockets, so a fixed
+//! set of reactor threads serves any number of connections.
 //!
 //! ```text
 //!              ┌────────────────────────────────────────────┐
@@ -102,8 +101,8 @@
 //! at 100% CPU — and every shed, drop and stall is visible through
 //! [`ReactorStats`].
 //!
-//! This server is Linux-only (epoll); the rest of the crate builds
-//! anywhere.
+//! This server is Linux-only (epoll), so serving over TCP is too; the rest
+//! of the crate, TCP clients included, builds anywhere.
 //!
 //! [`FrameRef`]: brmi_wire::protocol::FrameRef
 
@@ -608,11 +607,9 @@ impl Shared {
     }
 }
 
-/// The epoll-driven TCP server. Binds like
-/// [`TcpServer`](crate::tcp::TcpServer) and feeds the same
-/// [`RequestHandler`], but serves all connections from
-/// [`ReactorConfig::reactor_threads`] event-loop threads instead of one
-/// thread per connection. See the [module docs](self) for the design.
+/// The epoll-driven TCP server: feeds a [`RequestHandler`] from
+/// [`ReactorConfig::reactor_threads`] event-loop threads, however many
+/// connections are open. See the [module docs](self) for the design.
 pub struct ReactorServer {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
@@ -749,8 +746,7 @@ impl ReactorServer {
     /// Stops the event loops, closes every connection, drains the dispatch
     /// pool (queued jobs finish; their completions are discarded with the
     /// connections) and joins all reactor and worker threads. Idempotent;
-    /// also called on drop — the same graceful-shutdown contract as
-    /// [`TcpServer::shutdown`](crate::tcp::TcpServer::shutdown).
+    /// also called on drop.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;

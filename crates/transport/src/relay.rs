@@ -38,10 +38,10 @@
 //!   [`Frame::is_retry_safe`]): keyed members coalesce into super-batches
 //!   of their own — a [`Frame::SuperBatchCall`] is retry-safe only when
 //!   every member carries a key — and never share an upstream frame with
-//!   unkeyed ones. With the upstream link wrapped in
-//!   a [`RetryTransport`](crate::retry::RetryTransport)
-//!   ([`BatchRelay::with_upstream_retry`]) a failed keyed flush is redialed
-//!   and re-sent; the origin's reply cache deduplicates each *member* key
+//!   unkeyed ones. With the upstream link wrapped in a
+//!   [`RetryTransport`](crate::retry::RetryTransport)
+//!   (`BatchRelay::new(RetryTransport::over(upstream, retry), policy)`) a
+//!   failed keyed flush is redialed and re-sent; the origin's reply cache deduplicates each *member* key
 //!   (not the super-batch as a whole), so a re-send — even one the relay
 //!   regrouped differently — can never double-execute a member.
 //!
@@ -63,11 +63,9 @@
 //! sized to the peak number of concurrently blocked batches): frame IO
 //! stays on the event-loop threads while the flush-waits park on the
 //! dispatch workers, so one edge serves any number of downstream
-//! connections. A thread-per-connection
-//! [`TcpServer`](crate::tcp::TcpServer) (or the in-process transport in
-//! tests) also works for small deployments. Non-batch frames (plain
-//! calls, registry lookups, session releases, DGC traffic) are forwarded
-//! upstream one-for-one.
+//! connections. In tests the in-process transport fronts it as well.
+//! Non-batch frames (plain calls, registry lookups, session releases, DGC
+//! traffic) are forwarded upstream one-for-one.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -80,7 +78,6 @@ use brmi_wire::protocol::{BatchCall, Frame, TraceCtx};
 use brmi_wire::{RemoteError, RemoteErrorKind};
 
 use crate::clock::{Clock, VirtualClock};
-use crate::retry::{RetryPolicy, RetryTransport};
 use crate::{RequestHandler, Transport};
 
 /// Knobs of the keyed read cache a
@@ -507,21 +504,6 @@ impl BatchRelay {
         Self::with_time_source(upstream, policy, RealTime::new())
     }
 
-    /// As [`BatchRelay::new`], with the upstream link wrapped in a
-    /// [`RetryTransport`] under `retry`: a failed keyed flush is re-sent
-    /// with capped exponential backoff (safe — the origin deduplicates
-    /// each member key), while unkeyed flushes keep their single attempt.
-    pub fn with_upstream_retry(
-        upstream: Arc<dyn Transport>,
-        policy: RelayPolicy,
-        retry: RetryPolicy,
-    ) -> Arc<Self> {
-        Self::new(
-            RetryTransport::over(upstream, retry) as Arc<dyn Transport>,
-            policy,
-        )
-    }
-
     /// As [`BatchRelay::new`] with an explicit time source (pass a
     /// [`VirtualClock`] for deterministic delay tests).
     pub fn with_time_source(
@@ -898,6 +880,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultyTransport};
     use crate::inproc::InProcTransport;
+    use crate::retry::{RetryPolicy, RetryTransport};
     use brmi_wire::invocation::{
         BatchRequest, BatchResponse, CallSeq, InvocationData, PolicySpec, SlotOutcome, Target,
     };
@@ -1247,13 +1230,12 @@ mod tests {
         // re-sends the keyed flush until it lands.
         let upstream =
             FaultyTransport::new(InProcTransport::new(origin.clone()), FaultPlan::FirstN(2));
-        let relay = BatchRelay::with_upstream_retry(
-            Arc::clone(&upstream) as Arc<dyn Transport>,
+        let relay = BatchRelay::new(
+            RetryTransport::over(Arc::clone(&upstream) as _, RetryPolicy::immediate(5)),
             RelayPolicy::builder()
                 .max_coalesced_calls(2)
                 .max_delay(Duration::from_secs(30))
                 .build(),
-            RetryPolicy::immediate(5),
         );
         let gate = Arc::new(Barrier::new(2));
         let handles: Vec<_> = (0..2)

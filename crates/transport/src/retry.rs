@@ -259,6 +259,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultPoint, FaultyTransport};
     use crate::inproc::InProcTransport;
+    use crate::pool::TcpPool;
     use crate::RequestHandler;
     use brmi_wire::protocol::IdemKey;
     use brmi_wire::{ObjectId, Value};
@@ -408,6 +409,69 @@ mod tests {
             RetryPolicy::immediate(3),
         );
         assert!(retry.request(keyed(0)).is_err());
+    }
+
+    /// A hand-rolled server that reads `drop_replies` requests and hangs up
+    /// on each without answering, then serves subsequent connections
+    /// properly. Lets the pooled tests below exercise the
+    /// written-but-unanswered window that the pool's checkout liveness
+    /// probe cannot catch.
+    fn flaky_server(drop_replies: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        use crate::framing::{read_frame_bytes, write_frame};
+        use brmi_wire::WireCodec;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            for _ in 0..drop_replies {
+                let (mut peer, _) = listener.accept().unwrap();
+                let mut buf = Vec::new();
+                // Read the request so the client's write succeeds, then
+                // hang up: the reply is lost after execution would have
+                // happened.
+                let _ = read_frame_bytes(&mut peer, &mut buf);
+            }
+            let (mut peer, _) = listener.accept().unwrap();
+            let mut buf = Vec::new();
+            let mut out = Vec::new();
+            while let Ok(true) = read_frame_bytes(&mut peer, &mut buf) {
+                let reply = match Frame::from_wire_bytes(&buf).unwrap() {
+                    Frame::Call { key: Some(key), .. } => Frame::Return(Value::I64(key.seq as i64)),
+                    _ => Frame::Return(Value::Null),
+                };
+                write_frame(&mut peer, &reply, &mut out).unwrap();
+            }
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn keyed_request_is_resent_after_reply_loss() {
+        let (addr, server) = flaky_server(2);
+        let pool = TcpPool::connect(addr).unwrap();
+        let retry = RetryTransport::over(Arc::new(pool), RetryPolicy::immediate(5));
+        // The pooled warm connection gets hung up on, as does the first
+        // redial; the third attempt lands on the well-behaved connection.
+        let reply = retry.request(keyed(42)).unwrap();
+        assert_eq!(reply, Frame::Return(Value::I64(42)));
+        assert_eq!(retry.retries(), 2);
+        drop(retry);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn unkeyed_request_is_never_resent() {
+        let (addr, server) = flaky_server(1);
+        let pool = TcpPool::connect(addr).unwrap();
+        let retry = RetryTransport::over(Arc::new(pool), RetryPolicy::immediate(5));
+        // At-most-once: the lost reply surfaces as an error instead of a
+        // replay, even though the policy would allow five attempts.
+        assert!(retry.request(plain()).is_err());
+        assert_eq!(retry.retries(), 0);
+        // The pool itself is still healthy: a fresh request dials the
+        // well-behaved connection.
+        assert_eq!(retry.request(plain()).unwrap(), Frame::Return(Value::Null));
+        drop(retry);
+        server.join().unwrap();
     }
 
     #[test]
