@@ -40,9 +40,7 @@
 //!   never timeouts), bounded-queue tail latency at 2× saturation, and
 //!   the adaptive coalescing-window convergence curve;
 //! * binaries `fig05_noop_lan` … `fig13_files_wireless`, `all_figures`,
-//!   `ablations` and `extensions` print paper-style series;
-//! * `benches/middleware_cpu.rs` (Criterion) measures the real CPU cost of
-//!   recording, encoding and executing batches.
+//!   `ablations` and `extensions` print paper-style series.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -23,11 +23,19 @@
 //! oblivious to the mode; keying and retries compose underneath
 //! [`Connection::invoke_batch`].
 //!
+//! # Futures
+//!
+//! Every recorded call gets one future slot — a cheap placeholder the
+//! reply fills once. Sequence numbers are dense from 0 within a chain and
+//! each recorded call takes exactly one, so the slot table is a `Vec`
+//! indexed by seq. A response naming a seq the batch never handed out is
+//! ignored; nothing on this path is sized by a seq from the server.
+//!
 //! [`BatchStub`]: crate::stub::BatchStub
 //! [`CursorHandle`]: crate::stub::CursorHandle
 //! [`Connection::new_keyed`]: brmi_rmi::Connection::new_keyed
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use brmi_rmi::{Connection, RemoteRef};
@@ -81,7 +89,9 @@ struct BatchInner {
     poisoned: Option<RemoteError>,
     next_seq: u32,
     pending: Vec<InvocationData>,
-    slots: HashMap<u32, Arc<FutureSlot>>,
+    /// One slot per recorded call, indexed by its seq: seqs are dense from
+    /// 0 and `record` pushes exactly one slot per seq it hands out.
+    slots: Vec<Arc<FutureSlot>>,
     cursors: HashMap<u32, CursorState>,
     session: Option<SessionId>,
     /// The most recent pipelined flush still (possibly) in flight. A later
@@ -92,6 +102,12 @@ struct BatchInner {
 }
 
 impl BatchInner {
+    /// The slot of call `seq`; `None` for a seq this batch never handed
+    /// out (a hostile or confused server may name any seq).
+    fn slot(&self, seq: u32) -> Option<&Arc<FutureSlot>> {
+        self.slots.get(seq as usize)
+    }
+
     fn poison(&mut self, err: RemoteError) {
         if self.poisoned.is_none() && self.phase == Phase::Recording {
             self.poisoned = Some(err);
@@ -195,7 +211,7 @@ impl Batch {
                 poisoned: None,
                 next_seq: 0,
                 pending: Vec::new(),
-                slots: HashMap::new(),
+                slots: Vec::new(),
                 cursors: HashMap::new(),
                 session: None,
                 inflight: None,
@@ -295,8 +311,10 @@ impl Batch {
         // Every recorded call registers its slot, including ones that
         // fail during recording — `ok()` checks and failure scans
         // (`first_failure_from`) must see those too, and the stats
-        // counter stays in lockstep with the sequence numbers.
-        inner.slots.insert(seq, Arc::clone(&slot));
+        // counter stays in lockstep with the sequence numbers. That
+        // lockstep is what lets the slot table be indexed by seq.
+        debug_assert_eq!(inner.slots.len(), seq as usize);
+        inner.slots.push(Arc::clone(&slot));
 
         // Helper to fail this call (and usually the whole batch).
         macro_rules! fail {
@@ -465,7 +483,7 @@ impl Batch {
 
     /// Looks up the slot behind a call (for `ok()` checks).
     pub(crate) fn slot_of(&self, seq: u32) -> Option<Arc<FutureSlot>> {
-        self.inner.lock().slots.get(&seq).cloned()
+        self.inner.lock().slot(seq).cloned()
     }
 
     /// The earliest failure among calls recorded at or after position
@@ -478,19 +496,12 @@ impl Batch {
     /// failed, and are never reported here.
     pub fn first_failure_from(&self, start: u32) -> Option<RemoteError> {
         let inner = self.inner.lock();
-        let mut found: Option<(u32, RemoteError)> = None;
-        for (&seq, slot) in &inner.slots {
-            if seq < start {
-                continue;
-            }
-            if let Err(err) = slot.check_failed() {
-                match &found {
-                    Some((best, _)) if *best <= seq => {}
-                    _ => found = Some((seq, err)),
-                }
-            }
-        }
-        found.map(|(_, err)| err)
+        inner
+            .slots
+            .get(start as usize..)
+            .unwrap_or_default()
+            .iter()
+            .find_map(|slot| slot.check_failed().err())
     }
 
     /// Discards every recorded-but-unflushed call, failing its futures
@@ -507,7 +518,7 @@ impl Batch {
         let pending = std::mem::take(&mut inner.pending);
         let discarded = pending.len();
         for call in &pending {
-            if let Some(slot) = inner.slots.get(&call.seq.0) {
+            if let Some(slot) = inner.slot(call.seq.0) {
                 slot.set_failed(reason.clone());
             }
         }
@@ -550,7 +561,7 @@ impl Batch {
                 .collect()
         };
         for (member, outcome) in assignments {
-            if let Some(slot) = inner.slots.get(&member) {
+            if let Some(slot) = inner.slot(member) {
                 apply_outcome(slot, outcome);
             }
         }
@@ -600,7 +611,7 @@ impl Batch {
             let calls = std::mem::take(&mut inner.pending);
             // Every covered future can claim this flush on first touch.
             for call in &calls {
-                if let Some(slot) = inner.slots.get(&call.seq.0) {
+                if let Some(slot) = inner.slot(call.seq.0) {
                     slot.attach_flush(Arc::clone(&gate));
                 }
             }
@@ -657,7 +668,7 @@ impl Batch {
                 let err = already_executed();
                 let inner = self.inner.lock();
                 for call in &calls {
-                    if let Some(slot) = inner.slots.get(&call.seq.0) {
+                    if let Some(slot) = inner.slot(call.seq.0) {
                         slot.set_failed(err.clone());
                     }
                 }
@@ -704,13 +715,11 @@ impl Batch {
 
     /// Fails every recorded-but-unflushed call with `err` (lock held).
     fn fail_pending_locked(inner: &mut BatchInner, err: &RemoteError) {
-        let seqs: Vec<u32> = inner.pending.iter().map(|c| c.seq.0).collect();
-        for seq in seqs {
-            if let Some(slot) = inner.slots.get(&seq) {
+        for call in inner.pending.drain(..) {
+            if let Some(slot) = inner.slots.get(call.seq.0 as usize) {
                 slot.set_failed(err.clone());
             }
         }
-        inner.pending.clear();
     }
 
     /// First half of a flush: validates the phase and takes the pending
@@ -765,7 +774,7 @@ impl Batch {
                 // All communication errors surface at flush (Section 3.3):
                 // the futures of this segment fail with the same error.
                 for seq in seqs {
-                    if let Some(slot) = inner.slots.get(seq) {
+                    if let Some(slot) = inner.slot(*seq) {
                         slot.set_failed(err.clone());
                     }
                 }
@@ -781,19 +790,27 @@ impl Batch {
         }
         inner.stats.server_restarts += u64::from(response.restarts);
 
-        let mut responded: HashSet<u32> = HashSet::with_capacity(response.slots.len());
+        // Response seqs are untrusted: one this batch never handed out is
+        // ignored, and nothing is sized by a seq the server sent.
+        let mut responded = vec![false; inner.slots.len()];
         for (seq, outcome) in response.slots {
-            responded.insert(seq.0);
+            let Some(slot) = inner.slot(seq.0) else {
+                continue;
+            };
             if matches!(outcome, SlotOutcome::InCursor) {
-                continue; // populated by next()
+                // Populated by next() — but only a cursor member has a
+                // cursor to be populated by.
+                if is_cursor_member(&inner, seq.0) {
+                    responded[seq.0 as usize] = true;
+                }
+                continue;
             }
-            if let Some(slot) = inner.slots.get(&seq.0) {
-                apply_outcome(slot, outcome);
-            }
+            responded[seq.0 as usize] = true;
+            apply_outcome(slot, outcome);
         }
-        for seq in seqs {
-            if !responded.contains(seq) {
-                if let Some(slot) = inner.slots.get(seq) {
+        for &seq in seqs {
+            if !responded.get(seq as usize).copied().unwrap_or(false) {
+                if let Some(slot) = inner.slot(seq) {
                     slot.set_failed(RemoteError::new(
                         RemoteErrorKind::Protocol,
                         format!("server response missing result for call {seq}"),
@@ -820,7 +837,7 @@ impl Batch {
         let mut failed_members: Vec<(u32, RemoteError)> = Vec::new();
         for (cursor_seq, state) in &inner.cursors {
             if state.flushed.is_none() && !state.members.is_empty() {
-                if let Some(slot) = inner.slots.get(cursor_seq) {
+                if let Some(slot) = inner.slot(*cursor_seq) {
                     if let Err(err) = slot.check_applied() {
                         for member in &state.members {
                             failed_members.push((*member, err.clone()));
@@ -830,7 +847,7 @@ impl Batch {
             }
         }
         for (member, err) in failed_members {
-            if let Some(slot) = inner.slots.get(&member) {
+            if let Some(slot) = inner.slot(member) {
                 slot.set_failed(err);
             }
         }
@@ -866,6 +883,15 @@ fn cursor_position(inner: &BatchInner, cursor: u32) -> CursorPhase {
             _ => CursorPhase::Unpositioned,
         },
     }
+}
+
+/// True when call `seq` was recorded into some cursor's sub-batch.
+fn is_cursor_member(inner: &BatchInner, seq: u32) -> bool {
+    // `members` are pushed in recording order, so each list is sorted.
+    inner
+        .cursors
+        .values()
+        .any(|state| state.members.binary_search(&seq).is_ok())
 }
 
 fn merge_ctx(ctx: &mut Option<u32>, cursor: u32) -> Result<(), RemoteError> {

@@ -8,6 +8,10 @@
 //! decide whether a throwing call breaks, continues, repeats or restarts
 //! the batch (Section 3.3); and `flush_and_continue` sessions keep the
 //! object array alive between chained batches (Section 3.5).
+//!
+//! A call's decoded arguments are moved into its invoke. Only a policy
+//! that can answer `Repeat` keeps them and hands each attempt a copy, so
+//! every attempt sees identical arguments.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -669,16 +673,23 @@ impl BatchExecutor {
         &self,
         target: &Arc<dyn RemoteObject>,
         call: &InvocationDataRef<'_>,
-        in_args: Vec<InArg>,
+        mut in_args: Vec<InArg>,
         index: usize,
         policy: &PolicySpec,
         allow_restart: bool,
         ctx: &CallCtx,
     ) -> Disposition {
         self.count_replayed(target, call.method);
+        let repeatable = may_repeat(policy);
         let mut attempts = 0u32;
         loop {
-            match target.invoke(call.method, in_args.clone(), ctx) {
+            // Without `Repeat` the loop runs once, so the arguments move.
+            let args = if repeatable {
+                in_args.clone()
+            } else {
+                std::mem::take(&mut in_args)
+            };
+            match target.invoke(call.method, args, ctx) {
                 Ok(out) => return Disposition::Success(out),
                 Err(err) => {
                     let action = policy.action_for(&err, call.method, index as u32);
@@ -733,6 +744,20 @@ impl BatchExecutor {
             ExceptionAction::Continue => Disposition::Failure { env, brk: false },
             ExceptionAction::Restart if allow_restart => Disposition::Restart,
             _ => Disposition::Failure { env, brk: true },
+        }
+    }
+}
+
+/// True when `policy` can answer `Repeat` for some failure — the only case
+/// in which a call may be invoked more than once with the same arguments.
+fn may_repeat(policy: &PolicySpec) -> bool {
+    match policy {
+        PolicySpec::Abort | PolicySpec::Continue => false,
+        PolicySpec::Custom { default, rules } => {
+            *default == ExceptionAction::Repeat
+                || rules
+                    .iter()
+                    .any(|rule| rule.action == ExceptionAction::Repeat)
         }
     }
 }

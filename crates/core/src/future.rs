@@ -68,7 +68,7 @@ pub(crate) struct FutureSlot {
     flush: Mutex<Option<Arc<FlushGate>>>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum SlotState {
     /// No result yet: the batch has not been flushed (or the cursor not
     /// advanced).
@@ -92,17 +92,22 @@ impl FutureSlot {
         *self.flush.lock() = Some(gate);
     }
 
-    /// Claims the slot's value: when a pipelined flush is in flight, a
-    /// touch blocks until the flush completes (the worker populates every
-    /// slot before releasing waiters), then re-reads the state.
+    /// Claims the slot's state and views it through `view` under the
+    /// lock: when a pipelined flush is in flight, a touch blocks until the
+    /// flush completes (the worker populates every slot before releasing
+    /// waiters), then re-reads the state. The view decides what to copy
+    /// out — `get` clones the value once, state checks clone nothing.
     ///
     /// The gate is *cloned*, not taken: any number of threads may touch
     /// futures of the same segment concurrently, and each must find the
     /// gate to wait on. It is cleared only after the wait, once the flush
     /// is known to be complete.
-    pub(crate) fn claim(&self) -> SlotState {
-        if !matches!(self.snapshot(), SlotState::Pending) {
-            return self.snapshot();
+    pub(crate) fn claim<R>(&self, view: impl Fn(&SlotState) -> R) -> R {
+        {
+            let state = self.state.lock();
+            if !matches!(*state, SlotState::Pending) {
+                return view(&state);
+            }
         }
         let gate = self.flush.lock().clone();
         if let Some(gate) = gate {
@@ -110,8 +115,8 @@ impl FutureSlot {
             *self.flush.lock() = None;
         }
         // Re-read either way: a flush may have applied the result between
-        // the first snapshot and the gate lookup.
-        self.snapshot()
+        // the first look and the gate lookup.
+        view(&self.state.lock())
     }
 
     pub(crate) fn set_ready(&self, value: Value) {
@@ -122,37 +127,44 @@ impl FutureSlot {
         *self.state.lock() = SlotState::Failed(error);
     }
 
-    pub(crate) fn snapshot(&self) -> SlotState {
-        self.state.lock().clone()
-    }
-
     /// The `ok()` view: succeeded, failed, or not yet executed. Claims the
     /// reply of an in-flight pipelined flush first.
     pub(crate) fn check(&self) -> Result<(), RemoteError> {
-        match self.claim() {
-            SlotState::Pending => Err(not_flushed()),
-            SlotState::Ready(_) => Ok(()),
-            SlotState::Failed(err) => Err(err),
-        }
+        self.claim(SlotState::outcome)
     }
 
     /// As [`FutureSlot::check`] but *without* claiming an in-flight flush —
     /// for callers inside the flush-apply path itself, where waiting on the
     /// current flush's own gate would self-deadlock.
     pub(crate) fn check_applied(&self) -> Result<(), RemoteError> {
-        match self.snapshot() {
-            SlotState::Pending => Err(not_flushed()),
-            SlotState::Ready(_) => Ok(()),
-            SlotState::Failed(err) => Err(err),
-        }
+        self.state.lock().outcome()
     }
 
     /// Failure-only view: `Err` when the slot holds a failure, `Ok` for
     /// both pending and ready slots.
     pub(crate) fn check_failed(&self) -> Result<(), RemoteError> {
-        match self.snapshot() {
-            SlotState::Failed(err) => Err(err),
+        match &*self.state.lock() {
+            SlotState::Failed(err) => Err(err.clone()),
             _ => Ok(()),
+        }
+    }
+}
+
+impl SlotState {
+    /// Success, failure or not-yet-executed, without copying a value.
+    fn outcome(&self) -> Result<(), RemoteError> {
+        match self {
+            SlotState::Pending => Err(not_flushed()),
+            SlotState::Ready(_) => Ok(()),
+            SlotState::Failed(err) => Err(err.clone()),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            SlotState::Pending => "pending",
+            SlotState::Ready(_) => "ready",
+            SlotState::Failed(_) => "failed",
         }
     }
 }
@@ -194,11 +206,7 @@ impl<T> Clone for BatchFuture<T> {
 
 impl<T> std::fmt::Debug for BatchFuture<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match self.slot.snapshot() {
-            SlotState::Pending => "pending",
-            SlotState::Ready(_) => "ready",
-            SlotState::Failed(_) => "failed",
-        };
+        let state = self.slot.state.lock().name();
         f.debug_struct("BatchFuture")
             .field("state", &state)
             .finish()
@@ -230,16 +238,19 @@ impl<T: FromValue> BatchFuture<T> {
     ///
     /// [`Batch::flush_async`]: crate::Batch::flush_async
     pub fn get(&self) -> Result<T, RemoteError> {
-        match self.slot.claim() {
+        // The one deep copy of the value; the slot keeps its own so `get`
+        // stays repeatable.
+        let value = self.slot.claim(|state| match state {
             SlotState::Pending => Err(not_flushed()),
-            SlotState::Ready(value) => T::from_value(value),
-            SlotState::Failed(err) => Err(err),
-        }
+            SlotState::Ready(value) => Ok(value.clone()),
+            SlotState::Failed(err) => Err(err.clone()),
+        })?;
+        T::from_value(value)
     }
 
     /// True once the future holds a value or an error.
     pub fn is_done(&self) -> bool {
-        !matches!(self.slot.snapshot(), SlotState::Pending)
+        !matches!(*self.slot.state.lock(), SlotState::Pending)
     }
 }
 

@@ -140,3 +140,25 @@ fn first_failure_sees_recording_poison_too() {
     assert!(batch.first_failure_from(0).is_some());
     let _ = TestNode::new("unused", 0);
 }
+
+#[test]
+fn first_failure_scans_only_from_the_watermark_across_chained_flushes() {
+    let rig = Rig::chain(&[1, 2]);
+    let (batch, root) = rig.batch(ContinuePolicy);
+    let _early = root.fail_with("Early".into()); // seq 0
+    let _ok = root.value(); // seq 1
+    batch.flush_and_continue().unwrap();
+
+    let _fine = root.value(); // seq 2
+    let _late = root.fail_with("Late".into()); // seq 3
+    let _later = root.fail_with("Later".into()); // seq 4
+    batch.flush().unwrap();
+
+    assert_app_error(&batch.first_failure_from(0).unwrap(), "Early");
+    // A failure below `start` is never reported, however early it is.
+    assert_app_error(&batch.first_failure_from(1).unwrap(), "Late");
+    assert_app_error(&batch.first_failure_from(2).unwrap(), "Late");
+    assert_app_error(&batch.first_failure_from(4).unwrap(), "Later");
+    assert!(batch.first_failure_from(5).is_none());
+    assert!(batch.first_failure_from(u32::MAX).is_none());
+}

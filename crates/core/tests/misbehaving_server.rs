@@ -114,6 +114,41 @@ fn extra_unknown_slots_are_ignored() {
 }
 
 #[test]
+fn hostile_slot_seqs_never_index_or_size_anything() {
+    // Seq u32::MAX must not size the bookkeeping (that would be a 4 GiB
+    // allocation), a duplicate must not panic, and an `InCursor` outcome
+    // for a call outside any cursor is no result at all.
+    let (batch, root) = rig_with(BatchResponse {
+        session: None,
+        slots: vec![
+            (CallSeq(u32::MAX), SlotOutcome::Ok(Value::I32(9))),
+            (CallSeq(0), SlotOutcome::Ok(Value::I32(1))),
+            (CallSeq(0), SlotOutcome::Ok(Value::I32(2))),
+            (CallSeq(1), SlotOutcome::InCursor),
+            (CallSeq(3), SlotOutcome::Ok(Value::I32(4))),
+        ],
+        cursors: vec![],
+        restarts: 0,
+    });
+    let duplicated = root.value(); // seq 0
+    let in_cursor = root.value(); // seq 1
+    let missing = root.name(); // seq 2
+    let answered = root.value(); // seq 3
+    batch.flush().unwrap();
+
+    assert!(matches!(duplicated.get(), Ok(1 | 2)));
+    assert_eq!(answered.get().unwrap(), 4);
+    for err in [in_cursor.get().unwrap_err(), missing.get().unwrap_err()] {
+        assert_eq!(err.kind(), RemoteErrorKind::Protocol);
+        assert!(
+            err.message().contains("server response missing result"),
+            "{err}"
+        );
+    }
+    assert!(batch.first_failure_from(0).is_some());
+}
+
+#[test]
 fn wrong_reply_frame_kind_is_a_protocol_error() {
     struct WrongReply;
     impl RequestHandler for WrongReply {

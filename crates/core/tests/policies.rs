@@ -3,9 +3,14 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use brmi::policy::{AbortPolicy, ContinuePolicy, CustomPolicy};
-use brmi_wire::invocation::ExceptionAction;
-use common::Rig;
+use brmi::{remote_interface, Batch};
+use brmi_wire::invocation::{ExceptionAction, PolicySpec};
+use brmi_wire::{FromValue, RemoteError, ToValue, Value};
+use common::{BNode, Node, Rig};
+use parking_lot::Mutex;
 
 #[test]
 fn abort_policy_skips_everything_after_the_failure() {
@@ -186,4 +191,124 @@ fn middleware_faults_respect_policies_too() {
         brmi_wire::RemoteErrorKind::NoSuchObject
     );
     assert_eq!(fine.get().unwrap(), 10);
+}
+
+/// A by-value record argument.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Label {
+    text: String,
+    tags: Vec<String>,
+}
+
+impl ToValue for Label {
+    fn to_value(&self) -> Value {
+        Value::Record(vec![
+            ("text".to_owned(), self.text.to_value()),
+            ("tags".to_owned(), self.tags.to_value()),
+        ])
+    }
+}
+
+impl FromValue for Label {
+    fn from_value(value: Value) -> Result<Self, RemoteError> {
+        let mut fields = value.into_record()?.into_iter();
+        match (fields.next(), fields.next()) {
+            (Some((_, text)), Some((_, tags))) => Ok(Label {
+                text: String::from_value(text)?,
+                tags: Vec::from_value(tags)?,
+            }),
+            _ => Err(RemoteError::application("BadLabel", "two fields expected")),
+        }
+    }
+}
+
+remote_interface! {
+    pub interface Recorder {
+        fn flaky_labelled(label: Label, node: remote Node, succeed_after: i32) -> i32;
+    }
+}
+
+/// Fails until `succeed_after` attempts were made, recording the label and
+/// the node's identity that every attempt received.
+#[derive(Default)]
+struct AttemptLog {
+    seen: Mutex<Vec<(Label, usize)>>,
+}
+
+impl Recorder for AttemptLog {
+    fn flaky_labelled(
+        &self,
+        label: Label,
+        node: Arc<dyn Node>,
+        succeed_after: i32,
+    ) -> Result<i32, RemoteError> {
+        let mut seen = self.seen.lock();
+        seen.push((label, Arc::as_ptr(&node) as *const () as usize));
+        let attempt = seen.len() as i32;
+        if attempt > succeed_after {
+            Ok(attempt)
+        } else {
+            Err(RemoteError::application("FlakyError", "not yet"))
+        }
+    }
+}
+
+/// Runs one `flaky_labelled` call on the result of `root.next()` under
+/// `policy`; returns the call's result and what each attempt received.
+fn labelled_attempts(
+    policy: impl Into<PolicySpec>,
+    succeed_after: i32,
+) -> (Result<i32, RemoteError>, Label, Vec<(Label, usize)>) {
+    let rig = Rig::chain(&[1, 2]);
+    let log = Arc::new(AttemptLog::default());
+    let id = rig
+        .server
+        .bind("recorder", RecorderSkeleton::remote_arc(log.clone()))
+        .unwrap();
+    let batch = Batch::new(rig.conn.clone(), policy);
+    let recorder = BRecorder::new(&batch, &rig.conn.reference(id));
+    let root = BNode::new(&batch, &rig.root_ref);
+    let next = root.next();
+    let label = Label {
+        text: "same every time".into(),
+        tags: vec!["a".into(), "b".into()],
+    };
+    let result = recorder.flaky_labelled(label.clone(), &next, succeed_after);
+    batch.flush().unwrap();
+    let seen = log.seen.lock().clone();
+    (result.get(), label, seen)
+}
+
+fn assert_identical_attempts(seen: &[(Label, usize)], sent: &Label, attempts: usize) {
+    assert_eq!(seen.len(), attempts);
+    for (label, node) in seen {
+        assert_eq!(label, sent);
+        assert_eq!(*node, seen[0].1, "every attempt sees the same node");
+    }
+}
+
+#[test]
+fn repeat_by_rule_hands_every_attempt_the_same_arguments() {
+    let mut policy = CustomPolicy::new();
+    policy.on_exception("FlakyError", ExceptionAction::Repeat);
+    let (result, sent, seen) = labelled_attempts(policy, 2);
+    assert_eq!(result.unwrap(), 3);
+    assert_identical_attempts(&seen, &sent, 3);
+}
+
+#[test]
+fn repeat_by_default_hands_every_attempt_the_same_arguments() {
+    let mut policy = CustomPolicy::new();
+    policy.set_default_action(ExceptionAction::Repeat);
+    let (result, sent, seen) = labelled_attempts(policy, 10);
+    // One initial try plus three repeats, then Break.
+    common::assert_app_error(&result.unwrap_err(), "FlakyError");
+    assert_identical_attempts(&seen, &sent, 4);
+}
+
+#[test]
+fn non_repeating_policy_invokes_once_with_the_arguments() {
+    let (result, sent, seen) = labelled_attempts(ContinuePolicy, 0);
+    assert_eq!(result.unwrap(), 1);
+    assert_identical_attempts(&seen, &sent, 1);
 }

@@ -25,8 +25,7 @@ const SHARD_COUNT: u64 = 64;
 /// one map would serialize writer traffic (exports of marshalled results,
 /// DGC unexports) against the whole dispatch fan-out. Sequential ids spread
 /// round-robin across shards, giving a uniform key distribution by
-/// construction. The `table/contended_lookup` benchmark in
-/// `crates/bench/benches/middleware_cpu.rs` measures the effect.
+/// construction.
 #[derive(Debug)]
 pub struct ObjectTable {
     next_id: AtomicU64,
