@@ -17,8 +17,8 @@ fn main() -> Result<(), brmi_wire::RemoteError> {
         InMemoryDirectory,
     };
     use brmi_rmi::{Connection, RmiServer};
+    use brmi_transport::pool::TcpPool;
     use brmi_transport::reactor::ReactorServer;
-    use brmi_transport::tcp::TcpTransport;
     use brmi_wire::DateMillis;
 
     // --- server ----------------------------------------------------------
@@ -34,7 +34,7 @@ fn main() -> Result<(), brmi_wire::RemoteError> {
     );
 
     // --- client ----------------------------------------------------------
-    let conn = Connection::new(Arc::new(TcpTransport::connect(tcp.local_addr())?));
+    let conn = Connection::new(Arc::new(TcpPool::connect(tcp.local_addr())?));
     let root = conn.lookup("files")?;
 
     println!("RMI listing (1 + 4n round trips):");

@@ -14,8 +14,8 @@ use brmi_apps::noop::{BNoop, NoopServer, NoopSkeleton};
 use brmi_apps::simulation::{brmi_run, SimulationServer, SimulationSkeleton};
 use brmi_apps::translator::{brmi_translate_all, DictionaryTranslator, TranslatorSkeleton, Word};
 use brmi_rmi::{Connection, RmiServer};
+use brmi_transport::pool::TcpPool;
 use brmi_transport::reactor::ReactorServer;
-use brmi_transport::tcp::TcpTransport;
 
 fn full_server() -> (Arc<RmiServer>, ReactorServer) {
     let server = RmiServer::new();
@@ -62,7 +62,7 @@ fn full_server() -> (Arc<RmiServer>, ReactorServer) {
 #[test]
 fn all_services_coexist_on_one_server() {
     let (server, tcp) = full_server();
-    let conn = Connection::new(Arc::new(TcpTransport::connect(tcp.local_addr()).unwrap()));
+    let conn = Connection::new(Arc::new(TcpPool::connect(tcp.local_addr()).unwrap()));
 
     assert_eq!(
         conn.registry_names().unwrap(),
@@ -93,7 +93,7 @@ fn one_batch_can_span_services() {
     // A single batch mixing calls on the noop service and the list — the
     // paper's "any number of remote calls on many remote objects".
     let (_server, tcp) = full_server();
-    let conn = Connection::new(Arc::new(TcpTransport::connect(tcp.local_addr()).unwrap()));
+    let conn = Connection::new(Arc::new(TcpPool::connect(tcp.local_addr()).unwrap()));
     let noop_ref = conn.lookup("noop").unwrap();
     let list_ref = conn.lookup("list").unwrap();
 
@@ -116,7 +116,7 @@ fn concurrent_mixed_clients_over_tcp() {
     let handles: Vec<_> = (0..6)
         .map(|worker| {
             std::thread::spawn(move || {
-                let conn = Connection::new(Arc::new(TcpTransport::connect(addr).unwrap()));
+                let conn = Connection::new(Arc::new(TcpPool::connect(addr).unwrap()));
                 for round in 0..10 {
                     match (worker + round) % 3 {
                         0 => {

@@ -26,7 +26,6 @@ use brmi_apps::translator::{
 use brmi_rmi::{Connection, RmiServer};
 use brmi_transport::pool::TcpPool;
 use brmi_transport::reactor::{ReactorConfig, ReactorServer};
-use brmi_transport::tcp::TcpTransport;
 
 struct ReactorRig {
     reactor: ReactorServer,
@@ -162,7 +161,7 @@ fn thirty_two_concurrent_connections_issue_batches() {
             std::thread::spawn(move || {
                 // One dedicated connection per worker, held for the whole
                 // run: 32 sockets live in the reactor simultaneously.
-                let conn = Connection::new(Arc::new(TcpTransport::connect(addr).unwrap()));
+                let conn = Connection::new(Arc::new(TcpPool::connect(addr).unwrap()));
                 let translator = conn.lookup("translator").unwrap();
                 let head = conn.lookup("list").unwrap();
                 for i in 0..5 {
@@ -195,7 +194,7 @@ fn reactor_sustains_128_concurrent_connections() {
     // Establish all 128 connections up front and prove each is live with a
     // round trip, while every other connection stays open.
     let conns: Vec<Connection> = (0..CLIENTS)
-        .map(|_| Connection::new(Arc::new(TcpTransport::connect(addr).unwrap())))
+        .map(|_| Connection::new(Arc::new(TcpPool::connect(addr).unwrap())))
         .collect();
     for conn in &conns {
         let head = conn.lookup("list").unwrap();

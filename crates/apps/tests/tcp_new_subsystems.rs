@@ -18,8 +18,8 @@ use brmi_apps::implicit_clients::{implicit_listing, implicit_nth_value};
 use brmi_apps::list::{BRemoteList, ListNode, RemoteListSkeleton, RemoteListStub};
 use brmi_rmi::{Connection, DgcConfig, LeaseHolder, RmiServer};
 use brmi_transport::clock::{Clock, VirtualClock};
+use brmi_transport::pool::TcpPool;
 use brmi_transport::reactor::ReactorServer;
-use brmi_transport::tcp::TcpTransport;
 use brmi_wire::RemoteErrorKind;
 
 struct TcpRig {
@@ -62,9 +62,7 @@ fn rig() -> TcpRig {
 }
 
 fn connect(rig: &TcpRig) -> Connection {
-    Connection::new(Arc::new(
-        TcpTransport::connect(rig.tcp.local_addr()).unwrap(),
-    ))
+    Connection::new(Arc::new(TcpPool::connect(rig.tcp.local_addr()).unwrap()))
 }
 
 #[test]
@@ -128,7 +126,7 @@ fn concurrent_chained_sessions_do_not_interfere() {
     let handles: Vec<_> = (0..8)
         .map(|worker| {
             std::thread::spawn(move || {
-                let conn = Connection::new(Arc::new(TcpTransport::connect(addr).unwrap()));
+                let conn = Connection::new(Arc::new(TcpPool::connect(addr).unwrap()));
                 let list = conn.lookup("list").unwrap();
                 for _ in 0..5 {
                     // Each iteration holds a chained session open across
@@ -164,7 +162,7 @@ fn implicit_runtimes_from_many_threads() {
     let handles: Vec<_> = (0..6)
         .map(|_| {
             std::thread::spawn(move || {
-                let conn = Connection::new(Arc::new(TcpTransport::connect(addr).unwrap()));
+                let conn = Connection::new(Arc::new(TcpPool::connect(addr).unwrap()));
                 let list = conn.lookup("list").unwrap();
                 for n in 0..5 {
                     assert_eq!(

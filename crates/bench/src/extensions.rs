@@ -3,7 +3,7 @@
 //! The paper compares BRMI to implicit batching and to the hand-written
 //! Data Transfer Object pattern only in prose (Sections 1 and 6),
 //! because no public implementations existed to measure. This repo ships
-//! both comparators — [`brmi_implicit`] and
+//! both comparators — `brmi_implicit` and
 //! [`brmi_apps::fileserver::DirectoryFacade`] — so the comparison can be
 //! measured:
 //!

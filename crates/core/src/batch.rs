@@ -166,13 +166,13 @@ impl PendingFlush {
     /// Transport and protocol failures of the shipped segment, or the
     /// recording error that poisoned it.
     pub fn join(&self) -> Result<(), RemoteError> {
-        self.gate.wait()
+        self.gate.get()
     }
 
     /// True once the flush has completed (successfully or not), without
     /// blocking.
     pub fn is_done(&self) -> bool {
-        self.gate.try_result().is_some()
+        self.gate.try_get().is_some()
     }
 }
 
@@ -592,7 +592,7 @@ impl Batch {
     /// flush gates attached to the segment's slots) complete after the
     /// response has been applied.
     fn do_flush_async(&self, keep: bool) -> PendingFlush {
-        let gate = FlushGate::new();
+        let gate = Arc::new(FlushGate::default());
         let (calls, prev) = {
             let mut inner = self.inner.lock();
             if let Some(poison) = inner.poisoned.take() {
@@ -601,11 +601,11 @@ impl Batch {
                 if let Some(session) = inner.session.take() {
                     let _ = inner.conn.release_session(session);
                 }
-                gate.complete(Err(poison));
+                gate.set(Err(poison));
                 return PendingFlush { gate };
             }
             if inner.phase == Phase::Finished {
-                gate.complete(Err(already_executed()));
+                gate.set(Err(already_executed()));
                 return PendingFlush { gate };
             }
             let calls = std::mem::take(&mut inner.pending);
@@ -662,7 +662,7 @@ impl Batch {
         // the server before this one is sent (it may also establish the
         // session id this segment continues).
         if let Some(prev) = prev {
-            if prev.wait().is_err() {
+            if prev.get().is_err() {
                 // The chain is broken; this segment fails the way a sync
                 // flush after a failed flush would.
                 let err = already_executed();
@@ -673,7 +673,7 @@ impl Batch {
                     }
                 }
                 drop(inner);
-                gate.complete(Err(err));
+                gate.set(Err(err));
                 return;
             }
         }
@@ -684,7 +684,7 @@ impl Batch {
                     inner.phase = Phase::Finished;
                 }
                 drop(inner);
-                gate.complete(Ok(()));
+                gate.set(Ok(()));
                 return;
             }
             let seqs: Vec<u32> = calls.iter().map(|c| c.seq.0).collect();
@@ -697,7 +697,7 @@ impl Batch {
             (request, seqs, inner.conn.clone())
         };
         let result = conn.invoke_batch(request);
-        gate.complete(self.apply_flush(&seqs, keep, result));
+        gate.set(self.apply_flush(&seqs, keep, result));
     }
 
     /// Blocks until every in-flight pipelined flush has completed.
@@ -706,7 +706,7 @@ impl Batch {
             let gate = self.inner.lock().inflight.take();
             match gate {
                 Some(gate) => {
-                    let _ = gate.wait();
+                    let _ = gate.get();
                 }
                 None => return,
             }

@@ -7,56 +7,21 @@
 //! `next()` (Section 4.3).
 
 use std::marker::PhantomData;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 
+use brmi_transport::slot::OneShot;
 use brmi_wire::{FromValue, RemoteError, RemoteErrorKind, Value};
 use parking_lot::Mutex;
 
 /// Completion cell for one pipelined flush ([`Batch::flush_async`]): the
-/// worker thread performing the round trip completes it after the
-/// response has been applied to every slot, and anyone joining the flush —
-/// the [`PendingFlush`] handle or a future touched before the reply
-/// arrived — blocks here.
+/// worker thread performing the round trip sets it after the response has
+/// been applied to every slot, and anyone joining the flush — the
+/// [`PendingFlush`] handle or a future touched before the reply arrived —
+/// blocks in [`OneShot::get`].
 ///
 /// [`Batch::flush_async`]: crate::Batch::flush_async
 /// [`PendingFlush`]: crate::batch::PendingFlush
-#[derive(Debug)]
-pub(crate) struct FlushGate {
-    result: StdMutex<Option<Result<(), RemoteError>>>,
-    done: Condvar,
-}
-
-impl FlushGate {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(FlushGate {
-            result: StdMutex::new(None),
-            done: Condvar::new(),
-        })
-    }
-
-    /// Publishes the flush outcome and wakes every waiter. Call only after
-    /// the response (or failure) has been applied to the slots.
-    pub(crate) fn complete(&self, result: Result<(), RemoteError>) {
-        *self.result.lock().expect("flush gate lock") = Some(result);
-        self.done.notify_all();
-    }
-
-    /// Blocks until the flush completes; returns its outcome.
-    pub(crate) fn wait(&self) -> Result<(), RemoteError> {
-        let mut guard = self.result.lock().expect("flush gate lock");
-        loop {
-            if let Some(result) = guard.as_ref() {
-                return result.clone();
-            }
-            guard = self.done.wait(guard).expect("flush gate lock");
-        }
-    }
-
-    /// The outcome if the flush has completed, without blocking.
-    pub(crate) fn try_result(&self) -> Option<Result<(), RemoteError>> {
-        self.result.lock().expect("flush gate lock").clone()
-    }
-}
+pub(crate) type FlushGate = OneShot<Result<(), RemoteError>>;
 
 /// The shared state behind one future (and behind stub `ok()` checks).
 #[derive(Debug)]
@@ -111,7 +76,7 @@ impl FutureSlot {
         }
         let gate = self.flush.lock().clone();
         if let Some(gate) = gate {
-            let _ = gate.wait();
+            let _ = gate.get();
             *self.flush.lock() = None;
         }
         // Re-read either way: a flush may have applied the result between

@@ -11,7 +11,7 @@ use brmi_rmi::{Connection, RmiServer};
 use brmi_transport::fault::{FaultPlan, FaultyTransport};
 use brmi_transport::inproc::InProcTransport;
 #[cfg(target_os = "linux")]
-use brmi_transport::{reactor::ReactorServer, tcp::TcpTransport};
+use brmi_transport::{pool::TcpPool, reactor::ReactorServer};
 use brmi_wire::RemoteErrorKind;
 use common::{BNode, NodeSkeleton, NodeStub, TestNode};
 
@@ -89,7 +89,7 @@ fn batching_works_over_real_tcp() {
     server.bind("root", NodeSkeleton::remote_arc(root)).unwrap();
 
     let tcp = ReactorServer::bind("127.0.0.1:0", server.clone()).unwrap();
-    let transport = TcpTransport::connect(tcp.local_addr()).unwrap();
+    let transport = TcpPool::connect(tcp.local_addr()).unwrap();
     let conn = Connection::new(Arc::new(transport));
     let reference = conn.lookup("root").unwrap();
 
@@ -120,7 +120,7 @@ fn chained_batches_work_over_real_tcp() {
         .unwrap();
 
     let tcp = ReactorServer::bind("127.0.0.1:0", server.clone()).unwrap();
-    let conn = Connection::new(Arc::new(TcpTransport::connect(tcp.local_addr()).unwrap()));
+    let conn = Connection::new(Arc::new(TcpPool::connect(tcp.local_addr()).unwrap()));
     let reference = conn.lookup("root").unwrap();
 
     let batch = Batch::new(conn, AbortPolicy);

@@ -19,12 +19,20 @@ use std::time::Duration;
 use crate::metrics::Counter;
 use brmi_wire::protocol::TraceCtx;
 
-/// A monotonic clock the tracer timestamps spans with. Implemented by the
-/// transport layer's `VirtualClock` (exact, deterministic) and by
+/// A monotonic clock: the tracer timestamps spans with it, and the edge
+/// tiers time their flush windows and cache TTLs with it. Implemented by
+/// the transport layer's `VirtualClock` (exact, deterministic) and by
 /// [`WallTime`] (real `Instant`-based time for production use).
 pub trait TimeSource: Send + Sync {
     /// Time elapsed since this source's arbitrary epoch.
     fn now(&self) -> Duration;
+
+    /// How long a thread waiting for a deadline `remaining` away may block
+    /// before it must recheck the time. Real time can sleep the whole
+    /// remainder; a source advanced by someone else has to be polled.
+    fn wait_slice(&self, remaining: Duration) -> Duration {
+        remaining
+    }
 }
 
 /// Real time: duration since the source was created.

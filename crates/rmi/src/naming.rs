@@ -6,7 +6,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use brmi_transport::tcp::TcpTransport;
+use brmi_transport::pool::TcpPool;
 use brmi_wire::{RemoteError, RemoteErrorKind};
 
 use crate::client::{Connection, RemoteRef};
@@ -84,7 +84,7 @@ impl Naming {
     /// Connection failures, plus `NotBound` when the name is unknown.
     pub fn lookup(url: &str) -> Result<RemoteRef, RemoteError> {
         let parsed = RmiUrl::parse(url)?;
-        let transport = TcpTransport::connect(parsed.authority())?;
+        let transport = TcpPool::connect(parsed.authority())?;
         let conn = Connection::new(Arc::new(transport));
         conn.lookup(&parsed.name)
     }

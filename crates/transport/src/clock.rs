@@ -55,10 +55,17 @@ impl Clock for VirtualClock {
 
 // A virtual clock is also an observability time source, so trace span
 // timestamps and simulated network costs can share one timebase — the key
-// to byte-identical latency histograms and waterfalls in `BENCH_obs`.
+// to byte-identical latency histograms and waterfalls in `BENCH_obs` — and
+// the relay's flush window and the fetcher's TTLs run on test-driven time.
 impl brmi_obs::TimeSource for VirtualClock {
     fn now(&self) -> Duration {
         Clock::elapsed(self)
+    }
+
+    // Time only moves when a test advances the clock, so a deadline wait
+    // polls instead of sleeping the whole remainder.
+    fn wait_slice(&self, remaining: Duration) -> Duration {
+        remaining.min(Duration::from_millis(1))
     }
 }
 

@@ -10,11 +10,13 @@
 //! encoded arguments ([`read_cache_key`]) — so that:
 //!
 //! * identical in-flight reads **collapse**: the first caller probes the
-//!   origin, every concurrent caller with the same key waits on that probe
-//!   and shares its result (one origin execution, fanned back to all);
+//!   origin, every concurrent caller with the same key waits on that
+//!   probe's [`OneShot`] slot and gets a copy of its result (one origin
+//!   execution, fanned back to all);
 //! * repeated reads are served from a bounded TTL cache with **zero**
 //!   origin round trips until the entry expires, is evicted, or is
-//!   invalidated by a write.
+//!   invalidated by a write. TTLs run on a [`TimeSource`]: wall clock by
+//!   default, a [`VirtualClock`](crate::clock::VirtualClock) in tests.
 //!
 //! # What may be cached
 //!
@@ -59,10 +61,10 @@
 //! [`MethodMeta`]: brmi_wire::MethodMeta
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use brmi_obs::{Counter, MetricsSnapshot, Registry, Snapshot};
+use brmi_obs::{Counter, MetricsSnapshot, Registry, Snapshot, TimeSource, WallTime};
 use brmi_wire::invocation::{
     BatchRequest, BatchResponse, CallSeq, ErrorEnvelope, InvocationData, PolicySpec, SlotOutcome,
     Target,
@@ -71,7 +73,8 @@ use brmi_wire::meta::read_cache_key;
 use brmi_wire::protocol::Frame;
 use brmi_wire::{MethodRegistry, ObjectId, RemoteError, RemoteErrorKind, Value};
 
-use crate::relay::{ReadCachePolicy, RealTime, RelayTimeSource};
+use crate::relay::ReadCachePolicy;
+use crate::slot::OneShot;
 use crate::RequestHandler;
 
 /// Cumulative fetcher counters.
@@ -198,40 +201,13 @@ struct CacheEntry {
 /// Hand-off cell between the caller that owns a probe and every caller
 /// coalesced onto it. The outcome is cloned to each waiter, not taken.
 struct Inflight {
-    outcome: Mutex<Option<Result<Value, ErrorEnvelope>>>,
-    ready: Condvar,
+    outcome: OneShot<Result<Value, ErrorEnvelope>>,
     /// Epoch snapshots taken when the owning probe was planned. A caller
     /// may only join while these still match the current epochs: a probe
     /// planned before a write may legally resolve to the pre-write value,
     /// which must never be served to a caller arriving after that write.
     global_epoch: u64,
     object_epoch: u64,
-}
-
-impl Inflight {
-    fn new(global_epoch: u64, object_epoch: u64) -> Arc<Self> {
-        Arc::new(Inflight {
-            outcome: Mutex::new(None),
-            ready: Condvar::new(),
-            global_epoch,
-            object_epoch,
-        })
-    }
-
-    fn publish(&self, result: Result<Value, ErrorEnvelope>) {
-        *self.outcome.lock().expect("fetcher slot lock") = Some(result);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<Value, ErrorEnvelope> {
-        let mut guard = self.outcome.lock().expect("fetcher slot lock");
-        loop {
-            if let Some(result) = guard.as_ref() {
-                return result.clone();
-            }
-            guard = self.ready.wait(guard).expect("fetcher slot lock");
-        }
-    }
 }
 
 struct CacheState {
@@ -324,7 +300,7 @@ pub struct BatchFetcher {
     inner: Arc<dyn RequestHandler>,
     registry: Arc<MethodRegistry>,
     policy: ReadCachePolicy,
-    time: Arc<dyn RelayTimeSource>,
+    time: Arc<dyn TimeSource>,
     state: Mutex<CacheState>,
     stats: Arc<FetcherStats>,
 }
@@ -336,7 +312,7 @@ impl BatchFetcher {
         registry: Arc<MethodRegistry>,
         policy: ReadCachePolicy,
     ) -> Arc<Self> {
-        Self::with_time_source(inner, registry, policy, RealTime::new())
+        Self::with_time_source(inner, registry, policy, Arc::new(WallTime::new()))
     }
 
     /// As [`BatchFetcher::new`] with an explicit time source (pass a
@@ -346,7 +322,7 @@ impl BatchFetcher {
         inner: Arc<dyn RequestHandler>,
         registry: Arc<MethodRegistry>,
         policy: ReadCachePolicy,
-        time: Arc<dyn RelayTimeSource>,
+        time: Arc<dyn TimeSource>,
     ) -> Arc<Self> {
         Arc::new(BatchFetcher {
             inner,
@@ -493,7 +469,11 @@ impl BatchFetcher {
                     }
                 }
                 self.stats.misses.inc();
-                let slot = Inflight::new(state.global_epoch, state.object_epoch(object));
+                let slot = Arc::new(Inflight {
+                    outcome: OneShot::default(),
+                    global_epoch: state.global_epoch,
+                    object_epoch: state.object_epoch(object),
+                });
                 // May replace a stale in-flight entry: callers already
                 // joined to the old slot keep their Arc and still receive
                 // its result, which their (pre-write) plans permit.
@@ -519,7 +499,7 @@ impl BatchFetcher {
             .map(|plan| match plan {
                 Plan::Hit(value) => Ok(value),
                 Plan::Probe(index) => probe_results[index].clone(),
-                Plan::Join(slot) => slot.wait(),
+                Plan::Join(slot) => slot.outcome.get(),
             })
             .collect();
 
@@ -658,7 +638,7 @@ impl BatchFetcher {
             }
         }
         for (probe, result) in probes.iter().zip(&results) {
-            probe.slot.publish(result.clone());
+            probe.slot.outcome.set(result.clone());
         }
         results
     }

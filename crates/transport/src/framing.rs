@@ -2,10 +2,10 @@
 //!
 //! A frame travels as a 4-byte little-endian length followed by the encoded
 //! frame bytes. The helpers here are used by the blocking client
-//! ([`crate::tcp::TcpTransport`]) and the pooled client
-//! ([`crate::pool::TcpPool`]); the reactor server ([`crate::reactor`]) shares
-//! the constants but parses frames incrementally out of its nonblocking read
-//! buffer.
+//! ([`crate::pool::TcpPool`]) and the multiplexed client
+//! ([`crate::mux::MuxClient`]); the reactor server ([`crate::reactor`])
+//! shares the constants but parses frames incrementally out of its
+//! nonblocking read buffer.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -186,22 +186,11 @@ pub(crate) struct RoundTripBytes {
 }
 
 impl ClientConn {
-    /// Dials `addr` with `TCP_NODELAY` set.
-    pub(crate) fn dial(addr: SocketAddr) -> std::io::Result<ClientConn> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(ClientConn {
-            stream,
-            write_buf: Vec::new(),
-            read_buf: Vec::new(),
-        })
-    }
-
-    /// Dials `addr`, trying every resolved candidate address until one
-    /// connects (std's `TcpStream::connect` semantics — a hostname with
-    /// both AAAA and A records falls through to the address that works).
-    /// Returns the connection and the address that accepted, so redials
-    /// can go straight there.
+    /// Dials `addr` with `TCP_NODELAY` set, trying every resolved
+    /// candidate address until one connects (std's `TcpStream::connect`
+    /// semantics — a hostname with both AAAA and A records falls through
+    /// to the address that works). Returns the connection and the address
+    /// that accepted, so redials can go straight there.
     pub(crate) fn dial_resolved(
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<(ClientConn, SocketAddr)> {

@@ -3,14 +3,12 @@
 //! Pluggable transports carrying [`Frame`]s between a BRMI client and server:
 //!
 //! * [`inproc`] — direct dispatch into a server handler, for unit tests;
-//! * [`tcp`] — the one-socket blocking client: length-prefixed frames over
-//!   a real socket, one request at a time;
 //! * [`reactor`] — the one TCP server: an epoll event loop serving hundreds
 //!   of concurrent connections from a fixed set of reactor threads
 //!   (Linux-only);
-//! * [`pool`] — the client counterpart: a connection pool checking sockets
-//!   out per round trip, so threads sharing one transport are not
-//!   serialized;
+//! * [`pool`] — the one blocking client: length-prefixed frames over a
+//!   connection pool checking sockets out per round trip, so threads
+//!   sharing one transport are not serialized;
 //! * [`mux`] — the evented client: N concurrent callers multiplexed over
 //!   *one* socket via request-id envelopes, writes coalesced into vectored
 //!   syscall bursts (pairs with the reactor server);
@@ -23,7 +21,9 @@
 //!   charged to a [virtual clock](clock::VirtualClock) according to a
 //!   [`NetworkProfile`];
 //! * [`fault`] — failure injection (request or reply drops, deterministic
-//!   seeded plans, delays) for testing error paths.
+//!   seeded plans, delays) for testing error paths;
+//! * [`slot`] — the fill-once reply cell through which the mux, relay and
+//!   fetcher hand one round trip's outcome to a blocked caller.
 //!
 //! [`Frame`]: brmi_wire::protocol::Frame
 
@@ -46,7 +46,7 @@ pub mod reactor;
 pub mod relay;
 pub mod retry;
 pub mod sim;
-pub mod tcp;
+pub mod slot;
 
 use std::sync::Arc;
 

@@ -32,7 +32,8 @@
 //!
 //! One reader thread owns the receive side: it reads envelopes, decodes
 //! the reply frame and delivers it to the per-call slot registered under
-//! the request id. A caller blocks only on its own slot — slow replies to
+//! the request id — a [`OneShot`] the caller blocks on and moves the
+//! reply out of. A caller blocks only on its own slot — slow replies to
 //! other callers never serialize it.
 //!
 //! # Failure semantics
@@ -71,7 +72,7 @@ use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use brmi_obs::{Counter, MetricsSnapshot, Registry, Snapshot};
@@ -82,6 +83,7 @@ use brmi_wire::{MethodRegistry, RemoteError};
 use crate::framing::{
     read_body_chunked, trim_buf, write_all_vectored, MAX_FRAME, MUX_FLAG, MUX_ID_LEN,
 };
+use crate::slot::OneShot;
 use crate::{Transport, TransportStats};
 
 /// Exception name carried by disconnect errors whose in-flight request may
@@ -154,34 +156,7 @@ struct CallSlot {
     sent: usize,
     /// Which method this slot awaits, when the frame named one.
     label: Option<CallLabel>,
-    reply: Mutex<Option<Result<Frame, RemoteError>>>,
-    ready: Condvar,
-}
-
-impl CallSlot {
-    fn new(sent: usize, label: Option<CallLabel>) -> Arc<CallSlot> {
-        Arc::new(CallSlot {
-            sent,
-            label,
-            reply: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn deliver(&self, outcome: Result<Frame, RemoteError>) {
-        *self.reply.lock().expect("mux call lock") = Some(outcome);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<Frame, RemoteError> {
-        let mut guard = self.reply.lock().expect("mux call lock");
-        loop {
-            if let Some(outcome) = guard.take() {
-                return outcome;
-            }
-            guard = self.ready.wait(guard).expect("mux call lock");
-        }
-    }
+    reply: OneShot<Result<Frame, RemoteError>>,
 }
 
 /// A reply that has not arrived yet; claim it with [`MuxPending::wait`].
@@ -199,7 +174,7 @@ impl MuxPending {
     /// this call in flight — the call may or may not have executed
     /// (at-most-once: it is never replayed).
     pub fn wait(self) -> Result<Frame, RemoteError> {
-        self.slot.wait()
+        self.slot.reply.take()
     }
 }
 
@@ -295,7 +270,8 @@ impl MuxShared {
             calls.drain().map(|(_, slot)| slot).collect()
         };
         for slot in slots {
-            slot.deliver(Err(Self::slot_error(&message, slot.label.as_ref())));
+            slot.reply
+                .set(Err(Self::slot_error(&message, slot.label.as_ref())));
         }
         let _ = self.stream.shutdown(Shutdown::Both);
     }
@@ -434,7 +410,11 @@ impl MuxClient {
         header[..4].copy_from_slice(&(len | MUX_FLAG).to_le_bytes());
         header[4..].copy_from_slice(&id.to_le_bytes());
         let label = CallLabel::of(frame, self.shared.registry.as_deref());
-        let slot = CallSlot::new(body.len(), label);
+        let slot = Arc::new(CallSlot {
+            sent: body.len(),
+            label,
+            reply: OneShot::default(),
+        });
         self.shared
             .calls
             .lock()
@@ -633,7 +613,7 @@ fn reader_loop(mut stream: TcpStream, shared: &MuxShared) {
         match slot {
             Some(slot) => {
                 shared.stats.record(slot.sent, body.len());
-                slot.deliver(Ok(frame));
+                slot.reply.set(Ok(frame));
             }
             // An id we never sent (or already answered) is a protocol
             // violation: the stream cannot be trusted any more.

@@ -1,15 +1,14 @@
-//! Pooled TCP client transport: concurrent round trips without
-//! per-connection serialization.
+//! The blocking TCP client: a connection pool, so threads sharing one
+//! transport are not serialized on one socket.
 //!
-//! [`TcpTransport`](crate::tcp::TcpTransport) funnels every caller through
-//! one mutex-protected socket, so N threads sharing a connection proceed
-//! one round trip at a time. [`TcpPool`] removes that bottleneck: each
-//! [`Transport::request`] checks a connection out of an idle pool (dialing
-//! a fresh one when the pool is empty), performs the round trip, and
-//! returns the connection — with its reused scratch buffers — to the pool.
-//! N callers thus drive N concurrent sockets against the same server while
-//! the pooled path stays allocation-free in steady state, and an
-//! application can share a single `Arc<TcpPool>` across every thread.
+//! Each [`Transport::request`] checks a connection out of an idle pool
+//! (dialing a fresh one when the pool is empty), performs the round trip,
+//! and returns the connection — with its reused scratch buffers — to the
+//! pool. One caller therefore holds exactly one socket, N concurrent
+//! callers drive N sockets against the same server, the pooled path stays
+//! allocation-free in steady state, and an application can share a single
+//! `Arc<TcpPool>` across every thread. (The evented alternative, many
+//! callers over *one* socket, is [`MuxClient`](crate::mux::MuxClient).)
 //!
 //! Staleness is handled *before* a request is committed to a socket: an
 //! idle pooled connection may have been closed by the server while it sat
@@ -66,12 +65,7 @@ impl TcpPool {
 
     /// Like [`TcpPool::connect`], retaining at most `max_idle` idle
     /// connections (extras are closed when checked back in).
-    ///
-    /// # Errors
-    ///
-    /// Returns a transport-kind [`RemoteError`] when the address does not
-    /// resolve or the first connection cannot be established.
-    pub fn with_max_idle(addr: impl ToSocketAddrs, max_idle: usize) -> Result<Self, RemoteError> {
+    fn with_max_idle(addr: impl ToSocketAddrs, max_idle: usize) -> Result<Self, RemoteError> {
         let (conn, addr) = ClientConn::dial_resolved(addr)
             .map_err(|err| RemoteError::transport(format!("connect failed: {err}")))?;
         Ok(TcpPool {
@@ -86,11 +80,6 @@ impl TcpPool {
     /// `transport_*` families labeled `tier="pool"`.
     pub fn register_metrics(&self, registry: &Registry) {
         self.stats.register_metrics(registry, "pool");
-    }
-
-    /// The server address this pool dials.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Round-trip and byte counters for every request through the pool.
@@ -116,7 +105,8 @@ impl TcpPool {
                 return Ok(conn);
             }
         }
-        ClientConn::dial(self.addr)
+        ClientConn::dial_resolved(self.addr)
+            .map(|(conn, _)| conn)
             .map_err(|err| RemoteError::transport(format!("connect failed: {err}")))
     }
 

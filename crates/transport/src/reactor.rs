@@ -1525,7 +1525,7 @@ fn flush_writes(conn: &mut Conn) -> ConnFate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp::TcpTransport;
+    use crate::pool::TcpPool;
     use crate::Transport;
     use brmi_wire::protocol::Frame;
     use brmi_wire::value::Value;
@@ -1558,7 +1558,7 @@ mod tests {
     #[test]
     fn request_reply_over_the_reactor() {
         let server = echo_server();
-        let client = TcpTransport::connect(server.local_addr()).unwrap();
+        let client = TcpPool::connect(server.local_addr()).unwrap();
         let reply = client.request(call(vec![Value::I32(42)])).unwrap();
         assert_eq!(reply, Frame::Return(Value::List(vec![Value::I32(42)])));
     }
@@ -1566,7 +1566,7 @@ mod tests {
     #[test]
     fn sequential_requests_reuse_the_connection() {
         let server = echo_server();
-        let client = TcpTransport::connect(server.local_addr()).unwrap();
+        let client = TcpPool::connect(server.local_addr()).unwrap();
         for i in 0..50 {
             let reply = client.request(call(vec![Value::I32(i)])).unwrap();
             assert_eq!(reply, Frame::Return(Value::List(vec![Value::I32(i)])));
@@ -1675,7 +1675,7 @@ mod tests {
     #[test]
     fn large_payload_round_trips_through_partial_writes() {
         let server = echo_server();
-        let client = TcpTransport::connect(server.local_addr()).unwrap();
+        let client = TcpPool::connect(server.local_addr()).unwrap();
         // Several megabytes forces the reactor through the EPOLLOUT path.
         let blob = Value::Bytes((0..4_000_000u32).map(|i| i as u8).collect());
         let reply = client.request(call(vec![blob.clone()])).unwrap();
@@ -1692,7 +1692,7 @@ mod tests {
         let mut buf = Vec::new();
         assert!(!crate::framing::read_frame_bytes(&mut bad, &mut buf).unwrap_or(false));
         // ...while a well-behaved one keeps working.
-        let good = TcpTransport::connect(server.local_addr()).unwrap();
+        let good = TcpPool::connect(server.local_addr()).unwrap();
         let reply = good.request(call(vec![Value::I32(7)])).unwrap();
         assert_eq!(reply, Frame::Return(Value::List(vec![Value::I32(7)])));
     }
@@ -1705,7 +1705,7 @@ mod tests {
         bad.write_all(&[0xFF; 8]).unwrap();
         let mut buf = Vec::new();
         assert!(!crate::framing::read_frame_bytes(&mut bad, &mut buf).unwrap_or(false));
-        let good = TcpTransport::connect(server.local_addr()).unwrap();
+        let good = TcpPool::connect(server.local_addr()).unwrap();
         assert!(good.request(call(vec![])).is_ok());
     }
 
@@ -1725,7 +1725,7 @@ mod tests {
         let handles: Vec<_> = (0..32)
             .map(|i| {
                 std::thread::spawn(move || {
-                    let client = TcpTransport::connect(addr).unwrap();
+                    let client = TcpPool::connect(addr).unwrap();
                     for j in 0..20 {
                         let value = Value::I32(i * 1000 + j);
                         let reply = client.request(call(vec![value.clone()])).unwrap();
@@ -1743,8 +1743,8 @@ mod tests {
     fn connection_count_tracks_connects_and_disconnects() {
         let server = echo_server();
         assert_eq!(server.active_connections(), 0);
-        let a = TcpTransport::connect(server.local_addr()).unwrap();
-        let b = TcpTransport::connect(server.local_addr()).unwrap();
+        let a = TcpPool::connect(server.local_addr()).unwrap();
+        let b = TcpPool::connect(server.local_addr()).unwrap();
         a.request(call(vec![])).unwrap();
         b.request(call(vec![])).unwrap();
         assert_eq!(server.active_connections(), 2);
@@ -1777,8 +1777,8 @@ mod tests {
         let registry = Registry::new();
         server.register_metrics(&registry);
 
-        let a = TcpTransport::connect(server.local_addr()).unwrap();
-        let b = TcpTransport::connect(server.local_addr()).unwrap();
+        let a = TcpPool::connect(server.local_addr()).unwrap();
+        let b = TcpPool::connect(server.local_addr()).unwrap();
         a.request(call(vec![])).unwrap();
         b.request(call(vec![])).unwrap();
 
@@ -1857,7 +1857,7 @@ mod tests {
     #[test]
     fn shutdown_is_idempotent_and_joins_threads() {
         let mut server = echo_server();
-        let client = TcpTransport::connect(server.local_addr()).unwrap();
+        let client = TcpPool::connect(server.local_addr()).unwrap();
         client.request(call(vec![Value::I32(1)])).unwrap();
         server.shutdown();
         server.shutdown();
@@ -1936,7 +1936,7 @@ mod tests {
         .unwrap();
         let addr = server.local_addr();
         let slow_caller = std::thread::spawn(move || {
-            let client = TcpTransport::connect(addr).unwrap();
+            let client = TcpPool::connect(addr).unwrap();
             client.request(named_call("slow", vec![Value::I32(1)]))
         });
         while handler.slow_entered.load(Ordering::SeqCst) == 0 {
@@ -1944,7 +1944,7 @@ mod tests {
         }
         // The slow handler is parked inside the pool; the lone reactor
         // thread must still serve a different connection end to end.
-        let fast = TcpTransport::connect(addr).unwrap();
+        let fast = TcpPool::connect(addr).unwrap();
         let reply = fast
             .request(named_call("fast", vec![Value::I32(2)]))
             .unwrap();
@@ -2065,8 +2065,8 @@ mod tests {
             },
         )
         .unwrap();
-        let a = TcpTransport::connect(server.local_addr()).unwrap();
-        let b = TcpTransport::connect(server.local_addr()).unwrap();
+        let a = TcpPool::connect(server.local_addr()).unwrap();
+        let b = TcpPool::connect(server.local_addr()).unwrap();
         a.request(call(vec![Value::I32(1)])).unwrap();
         b.request(call(vec![Value::I32(2)])).unwrap();
         assert_eq!(server.active_connections(), 2);
@@ -2091,7 +2091,7 @@ mod tests {
         while server.active_connections() > 1 {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let c = TcpTransport::connect(server.local_addr()).unwrap();
+        let c = TcpPool::connect(server.local_addr()).unwrap();
         let reply = c.request(call(vec![Value::I32(3)])).unwrap();
         assert_eq!(reply, Frame::Return(Value::List(vec![Value::I32(3)])));
         drop((a, c));
@@ -2247,7 +2247,7 @@ mod tests {
             },
         )
         .unwrap();
-        let client = TcpTransport::connect(server.local_addr()).unwrap();
+        let client = TcpPool::connect(server.local_addr()).unwrap();
         for i in 0..20 {
             let reply = client.request(call(vec![Value::I32(i)])).unwrap();
             assert_eq!(reply, Frame::Return(Value::List(vec![Value::I32(i)])));

@@ -50,15 +50,17 @@
 //! [`RelayPolicy`] bounds how long a batch may wait to be coalesced: a
 //! super-batch is flushed as soon as the pending call count reaches
 //! `max_coalesced_calls`, or once the oldest pending batch has waited
-//! `max_delay`. Time comes from a pluggable [`RelayTimeSource`] — wall
-//! clock by default, or a [`VirtualClock`] so tests drive the delay path
-//! deterministically.
+//! `max_delay`. Time comes from a pluggable [`TimeSource`] — wall clock
+//! ([`WallTime`]) by default, or a
+//! [`VirtualClock`](crate::clock::VirtualClock) so tests drive the delay
+//! path deterministically.
 //!
 //! # Serving the edge
 //!
 //! [`BatchRelay`] is a [`RequestHandler`]; any transport can front it. The
-//! downstream handler *blocks* until its batch's super-batch completes, so
-//! the edge is served by the epoll reactor with **worker-pool dispatch**
+//! downstream handler *blocks* until its batch's super-batch completes —
+//! parked on a [`OneShot`] that the flusher fills with its reply — so the
+//! edge is served by the epoll reactor with **worker-pool dispatch**
 //! ([`ReactorConfig::dispatch_workers`](crate::reactor::ReactorConfig)
 //! sized to the peak number of concurrently blocked batches): frame IO
 //! stays on the event-loop threads while the flush-waits park on the
@@ -70,20 +72,21 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use brmi_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry, Snapshot, Tracer};
+use brmi_obs::{
+    Counter, Gauge, Histogram, MetricsSnapshot, Registry, Snapshot, TimeSource, Tracer, WallTime,
+};
 use brmi_wire::invocation::ErrorEnvelope;
 use brmi_wire::protocol::{BatchCall, Frame, TraceCtx};
 use brmi_wire::{RemoteError, RemoteErrorKind};
 
-use crate::clock::{Clock, VirtualClock};
+use crate::slot::OneShot;
 use crate::{RequestHandler, Transport};
 
 /// Knobs of the keyed read cache a
 /// [`BatchFetcher`](crate::fetcher::BatchFetcher) layers in front of a
-/// relay. Carried by [`RelayPolicy`] so one builder configures the whole
-/// edge tier.
+/// relay, passed to [`BatchFetcher::new`](crate::fetcher::BatchFetcher::new).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadCachePolicy {
     /// How long a cached read result stays servable after it was stored.
@@ -169,8 +172,7 @@ impl AdaptivePolicy {
     }
 }
 
-/// When the relay flushes a super-batch upstream, plus the read-cache
-/// configuration of an optional fetcher tier. Build one with
+/// When the relay flushes a super-batch upstream. Build one with
 /// [`RelayPolicy::builder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelayPolicy {
@@ -182,10 +184,6 @@ pub struct RelayPolicy {
     /// set, the tuned delay replaces this constant (which then only
     /// serves as the fallback for non-adaptive relays).
     pub max_delay: Duration,
-    /// Read-cache knobs for a [`BatchFetcher`](crate::fetcher::BatchFetcher)
-    /// stacked in front of this relay; `None` means the edge runs without
-    /// a caching tier. The relay itself ignores this field.
-    pub read_cache: Option<ReadCachePolicy>,
     /// Arrival-rate-adaptive flush window; `None` (the default) keeps the
     /// fixed `max_delay` constant.
     pub adaptive: Option<AdaptivePolicy>,
@@ -196,7 +194,6 @@ impl Default for RelayPolicy {
         RelayPolicy {
             max_coalesced_calls: 256,
             max_delay: Duration::from_millis(2),
-            read_cache: None,
             adaptive: None,
         }
     }
@@ -211,8 +208,7 @@ impl RelayPolicy {
     }
 }
 
-/// Builder for [`RelayPolicy`]; the `read_cache_*` setters switch the
-/// read-cache tier on with defaults for whatever they don't set.
+/// Builder for [`RelayPolicy`].
 #[derive(Debug, Clone)]
 pub struct RelayPolicyBuilder {
     policy: RelayPolicy,
@@ -237,71 +233,9 @@ impl RelayPolicyBuilder {
         self
     }
 
-    /// Enables the read cache and sets how long entries stay servable.
-    pub fn read_cache_ttl(mut self, ttl: Duration) -> Self {
-        self.policy
-            .read_cache
-            .get_or_insert_with(Default::default)
-            .ttl = ttl;
-        self
-    }
-
-    /// Enables the read cache and bounds how many entries it holds.
-    pub fn read_cache_capacity(mut self, capacity: usize) -> Self {
-        self.policy
-            .read_cache
-            .get_or_insert_with(Default::default)
-            .capacity = capacity;
-        self
-    }
-
     /// Finishes the policy.
     pub fn build(self) -> RelayPolicy {
         self.policy
-    }
-}
-
-/// Source of elapsed time for the flush-delay policy.
-///
-/// The default [`RealTime`] measures wall clock; a [`VirtualClock`] makes
-/// the delay path deterministic — the flusher polls, and time only moves
-/// when the test advances the clock.
-pub trait RelayTimeSource: Send + Sync {
-    /// Monotonic elapsed time since some fixed origin.
-    fn now(&self) -> Duration;
-
-    /// How long the flusher may block waiting for arrivals before it must
-    /// recheck the deadline. Real time can sleep the whole remainder; a
-    /// virtual clock is advanced externally, so the flusher polls.
-    fn wait_slice(&self, remaining: Duration) -> Duration {
-        remaining
-    }
-}
-
-/// Wall-clock time source (the default).
-#[derive(Debug)]
-pub struct RealTime(Instant);
-
-impl RealTime {
-    /// Anchors the time source at "now".
-    pub fn new() -> Arc<Self> {
-        Arc::new(RealTime(Instant::now()))
-    }
-}
-
-impl RelayTimeSource for RealTime {
-    fn now(&self) -> Duration {
-        self.0.elapsed()
-    }
-}
-
-impl RelayTimeSource for VirtualClock {
-    fn now(&self) -> Duration {
-        Clock::elapsed(self)
-    }
-
-    fn wait_slice(&self, remaining: Duration) -> Duration {
-        remaining.min(Duration::from_millis(1))
     }
 }
 
@@ -360,7 +294,7 @@ impl RelayStats {
     }
 
     /// Histogram of how long batches waited at the edge before their
-    /// group flushed (nanoseconds, [`RelayTimeSource`] time).
+    /// group flushed (nanoseconds, [`TimeSource`] time).
     pub fn coalesce_wait(&self) -> brmi_obs::HistogramSnapshot {
         self.coalesce_wait.snapshot()
     }
@@ -412,7 +346,7 @@ struct PendingBatch {
     /// Budget weight: call count, but at least one so empty batches (pure
     /// session traffic) still make progress toward a flush.
     weight: usize,
-    /// When this batch was enqueued ([`RelayTimeSource`] time) — feeds the
+    /// When this batch was enqueued ([`TimeSource`] time) — feeds the
     /// `relay_coalesce_wait_nanos` histogram at flush.
     enqueued_at: Duration,
     /// The relay's own span for this batch when it arrived traced: minted
@@ -422,50 +356,22 @@ struct PendingBatch {
     trace: Option<TraceCtx>,
     /// Tracer timestamp at enqueue (the span's start).
     trace_start: Duration,
-    reply: Arc<ReplySlot>,
-}
-
-/// Hand-off cell between a blocked downstream handler and the flusher.
-struct ReplySlot {
-    frame: Mutex<Option<Frame>>,
-    ready: Condvar,
-}
-
-impl ReplySlot {
-    fn new() -> Arc<Self> {
-        Arc::new(ReplySlot {
-            frame: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn deliver(&self, frame: Frame) {
-        *self.frame.lock().expect("relay reply lock") = Some(frame);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Frame {
-        let mut guard = self.frame.lock().expect("relay reply lock");
-        loop {
-            if let Some(frame) = guard.take() {
-                return frame;
-            }
-            guard = self.ready.wait(guard).expect("relay reply lock");
-        }
-    }
+    /// Hand-off cell between the blocked downstream handler and the
+    /// flusher.
+    reply: Arc<OneShot<Frame>>,
 }
 
 struct Queue {
     pending: VecDeque<PendingBatch>,
     pending_weight: usize,
-    /// When the oldest pending batch was enqueued ([`RelayTimeSource`]
+    /// When the oldest pending batch was enqueued ([`TimeSource`]
     /// time); `None` while the queue is empty.
     oldest_at: Option<Duration>,
     /// EWMA of the batch interarrival time in nanoseconds (adaptive mode);
     /// `0.0` doubles as "no sample yet", so the first sample initializes
     /// the average instead of blending with it.
     ewma_interarrival_nanos: f64,
-    /// [`RelayTimeSource`] timestamp of the most recent batch arrival, in
+    /// [`TimeSource`] timestamp of the most recent batch arrival, in
     /// nanoseconds (adaptive mode).
     last_arrival_nanos: Option<u64>,
     shutdown: bool,
@@ -475,7 +381,7 @@ struct Shared {
     queue: Mutex<Queue>,
     arrivals: Condvar,
     policy: RelayPolicy,
-    time: Arc<dyn RelayTimeSource>,
+    time: Arc<dyn TimeSource>,
     upstream: Arc<dyn Transport>,
     stats: Arc<RelayStats>,
     tracer: RwLock<Option<Arc<Tracer>>>,
@@ -501,15 +407,16 @@ impl BatchRelay {
     /// Creates a relay over `upstream` with wall-clock delay accounting and
     /// starts its flusher thread.
     pub fn new(upstream: Arc<dyn Transport>, policy: RelayPolicy) -> Arc<Self> {
-        Self::with_time_source(upstream, policy, RealTime::new())
+        Self::with_time_source(upstream, policy, Arc::new(WallTime::new()))
     }
 
     /// As [`BatchRelay::new`] with an explicit time source (pass a
-    /// [`VirtualClock`] for deterministic delay tests).
+    /// [`VirtualClock`](crate::clock::VirtualClock) for deterministic delay
+    /// tests).
     pub fn with_time_source(
         upstream: Arc<dyn Transport>,
         policy: RelayPolicy,
-        time: Arc<dyn RelayTimeSource>,
+        time: Arc<dyn TimeSource>,
     ) -> Arc<Self> {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
@@ -577,7 +484,7 @@ impl BatchRelay {
     /// super-batch completes. `client_ctx` is the trace context the batch
     /// arrived enveloped in, if any.
     fn relay_batch(&self, client_ctx: Option<TraceCtx>, call: BatchCall) -> Frame {
-        let reply = ReplySlot::new();
+        let reply = Arc::new(OneShot::default());
         let keyed = call.key.is_some();
         let tracer = self.shared.tracer();
         // The relay's own span: minted at enqueue so the coalesce wait is
@@ -631,7 +538,7 @@ impl BatchRelay {
             self.shared.stats.keyed_batches.inc();
         }
         self.shared.arrivals.notify_all();
-        reply.wait()
+        reply.take()
     }
 
     /// Number of batches currently waiting to be coalesced.
@@ -824,7 +731,7 @@ fn flush_uniform(shared: &Shared, group: Vec<PendingBatch>) {
             Ok(reply) => reply.split_trace().1,
             Err(err) => Frame::Error(ErrorEnvelope::from(&err)),
         };
-        batch.reply.deliver(reply.with_trace(trace));
+        batch.reply.set(reply.with_trace(trace));
         return;
     }
 
@@ -853,7 +760,7 @@ fn flush_uniform(shared: &Shared, group: Vec<PendingBatch>) {
                     Ok(response) => Frame::BatchReturn(response),
                     Err(env) => Frame::Error(env),
                 };
-                slot.deliver(frame.with_trace(trace));
+                slot.set(frame.with_trace(trace));
             }
             return;
         }
@@ -871,13 +778,14 @@ fn flush_uniform(shared: &Shared, group: Vec<PendingBatch>) {
         Err(err) => ErrorEnvelope::from(&err),
     };
     for (slot, trace) in slots {
-        slot.deliver(Frame::Error(env.clone()).with_trace(trace));
+        slot.set(Frame::Error(env.clone()).with_trace(trace));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::{Clock, VirtualClock};
     use crate::fault::{FaultPlan, FaultyTransport};
     use crate::inproc::InProcTransport;
     use crate::retry::{RetryPolicy, RetryTransport};

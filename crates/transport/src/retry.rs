@@ -461,16 +461,19 @@ mod tests {
     #[test]
     fn unkeyed_request_is_never_resent() {
         let (addr, server) = flaky_server(1);
-        let pool = TcpPool::connect(addr).unwrap();
-        let retry = RetryTransport::over(Arc::new(pool), RetryPolicy::immediate(5));
+        let pool = Arc::new(TcpPool::connect(addr).unwrap());
+        let retry = RetryTransport::over(pool.clone(), RetryPolicy::immediate(5));
         // At-most-once: the lost reply surfaces as an error instead of a
         // replay, even though the policy would allow five attempts.
         assert!(retry.request(plain()).is_err());
         assert_eq!(retry.retries(), 0);
+        // The connection broke mid-round-trip, so it was dropped rather
+        // than pooled again.
+        assert_eq!(pool.idle_connections(), 0);
         // The pool itself is still healthy: a fresh request dials the
         // well-behaved connection.
         assert_eq!(retry.request(plain()).unwrap(), Frame::Return(Value::Null));
-        drop(retry);
+        drop((retry, pool));
         server.join().unwrap();
     }
 
