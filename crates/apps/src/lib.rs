@@ -34,7 +34,7 @@
 //! tests asserting exactly that, plus the paper's round-trip counts.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod bank;
 pub mod durable;

@@ -1,4 +1,5 @@
-//! Runs the design-choice ablations from DESIGN.md §5 —
+//! Runs the design-choice ablations (the `ablation_*` figures in
+//! `brmi_bench::figures`) —
 //! `cargo run -p brmi-bench --bin ablations`.
 //!
 //! * A: identity preservation on/off (column "RMI" = exporting executor);

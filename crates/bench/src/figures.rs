@@ -1,4 +1,5 @@
-//! One scenario per paper figure, plus the ablations from DESIGN.md §5.
+//! One scenario per paper figure, plus the design-choice ablations
+//! (the `ablation_*` scenarios, printed by the `ablations` binary).
 //!
 //! Every scenario runs the genuine application clients from [`brmi_apps`]
 //! over the simulated network; nothing is analytically shortcut — byte

@@ -43,7 +43,7 @@
 //!   `ablations` and `extensions` print paper-style series.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod baseline;
 pub mod durable;

@@ -39,7 +39,7 @@
 //! panic never leaves stray files behind.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod crash;
 pub mod log;

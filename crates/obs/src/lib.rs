@@ -24,7 +24,7 @@
 //! the bench harness can all record into the same cells.
 
 #![deny(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod metrics;
 pub mod trace;

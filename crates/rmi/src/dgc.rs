@@ -18,7 +18,7 @@
 //!    exports would have cost — measured by
 //!    `crates/rmi/tests/dgc_pressure.rs`.
 //!
-//! ## Substitution note (DESIGN.md §2)
+//! ## Substitution note
 //!
 //! Java's `DGCClient` hooks stub unmarshalling inside the JVM runtime and
 //! renews on a timer thread. Rust has neither runtime hook nor implicit

@@ -26,7 +26,7 @@
 //! [`Value`]: brmi_wire::Value
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod client;
 pub mod dgc;

@@ -31,7 +31,7 @@
 // the raw epoll syscall bindings in `reactor::sys` (the container has no
 // crates.io access, so there is no libc/mio to lean on).
 #![deny(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod clock;
 pub mod fault;

@@ -135,14 +135,14 @@ mod sys {
     use std::os::raw::c_int;
     use std::os::unix::io::RawFd;
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub(super) const EPOLLIN: u32 = 0x001;
+    pub(super) const EPOLLOUT: u32 = 0x004;
+    pub(super) const EPOLLERR: u32 = 0x008;
+    pub(super) const EPOLLHUP: u32 = 0x010;
+    pub(super) const EPOLLRDHUP: u32 = 0x2000;
     /// Wake (at most) one waiter per readiness event instead of every
     /// epoll instance watching the fd — Linux ≥ 4.5, valid on ADD only.
-    pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
+    pub(super) const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
     const EPOLL_CTL_ADD: c_int = 1;
     const EPOLL_CTL_DEL: c_int = 2;
@@ -154,23 +154,23 @@ mod sys {
     #[repr(C)]
     #[cfg_attr(any(target_arch = "x86_64", target_arch = "x86"), repr(packed))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    pub(super) struct EpollEvent {
         events: u32,
         data: u64,
     }
 
     impl EpollEvent {
-        pub fn zeroed() -> EpollEvent {
+        pub(super) fn zeroed() -> EpollEvent {
             EpollEvent { events: 0, data: 0 }
         }
 
         // Field reads copy by value, which is safe even for the packed
         // layout (no reference to a misaligned field is ever formed).
-        pub fn events(&self) -> u32 {
+        pub(super) fn events(&self) -> u32 {
             self.events
         }
 
-        pub fn token(&self) -> u64 {
+        pub(super) fn token(&self) -> u64 {
             self.data
         }
     }
@@ -188,12 +188,12 @@ mod sys {
     }
 
     /// An epoll instance; closed on drop.
-    pub struct Epoll {
+    pub(super) struct Epoll {
         fd: c_int,
     }
 
     impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
+        pub(super) fn new() -> io::Result<Epoll> {
             // SAFETY: epoll_create1 takes a flags word and returns a new fd
             // or -1; no pointers are involved.
             let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -212,7 +212,7 @@ mod sys {
             Ok(())
         }
 
-        pub fn add(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
+        pub(super) fn add(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
             let mut event = EpollEvent {
                 events: interest,
                 data: token,
@@ -220,7 +220,7 @@ mod sys {
             self.ctl(EPOLL_CTL_ADD, fd, &mut event)
         }
 
-        pub fn modify(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
+        pub(super) fn modify(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
             let mut event = EpollEvent {
                 events: interest,
                 data: token,
@@ -228,7 +228,7 @@ mod sys {
             self.ctl(EPOLL_CTL_MOD, fd, &mut event)
         }
 
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+        pub(super) fn delete(&self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, std::ptr::null_mut())
         }
 
@@ -236,7 +236,11 @@ mod sys {
         /// close enough for the backoff re-arm this exists for).
         /// `timeout_ms` of `-1` blocks indefinitely. Returns how many
         /// entries of `events` were filled.
-        pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: c_int) -> io::Result<usize> {
+        pub(super) fn wait(
+            &self,
+            events: &mut [EpollEvent],
+            timeout_ms: c_int,
+        ) -> io::Result<usize> {
             loop {
                 let capacity = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
                 // SAFETY: `events` is a live, writable slice and `capacity`

@@ -47,7 +47,8 @@ impl SimTransport {
     }
 
     /// As [`SimTransport::new`], but encoding wire integers at the given
-    /// width — the codec ablation (DESIGN.md §5): fixed-width ints model
+    /// width — the codec ablation (`ablation_codec` in `brmi-bench`'s
+    /// figures): fixed-width ints model
     /// Java-serialization-style encodings, and the extra bytes are
     /// charged as real transmission time.
     pub fn with_int_width(

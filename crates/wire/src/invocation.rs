@@ -6,9 +6,9 @@
 //! server replays it and answers with a [`BatchResponse`] carrying one
 //! [`SlotOutcome`] per call plus per-element results for every cursor.
 
-use crate::codec::{Decoder, Encoder, WireCodec};
+use crate::codec::{DecodeRepr, Decoder, Encoder, WireCodec};
 use crate::error::{RemoteError, WireError};
-use crate::value::{ObjectId, Value, ValueRef};
+use crate::value::{Borrowed, ObjectId, Owned, Repr, Value, ValueIn};
 
 /// Sequence number of a call within one batch chain.
 ///
@@ -49,12 +49,12 @@ pub enum Target {
     CursorElement(CallSeq, u32),
 }
 
-/// One argument of a batched call.
+/// One argument of a batched call, over payload storage `R`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Arg {
+pub enum ArgIn<R: Repr> {
     /// A value passed by copy (or a pre-existing remote reference passed as
     /// [`Value::RemoteRef`]).
-    Value(Value),
+    Value(ValueIn<R>),
     /// The remote object produced by an earlier call in this batch chain.
     /// Only the sequence number crosses the wire (paper Section 4.1).
     Result(CallSeq),
@@ -62,17 +62,25 @@ pub enum Arg {
     CursorElement(CallSeq, u32),
 }
 
-/// A recorded method call: the paper's `InvocationData` class.
+/// One owned argument of a batched call.
+pub type Arg = ArgIn<Owned>;
+
+/// One argument of a batched call, decoded as a borrowed view — see
+/// [`BatchRequestRef`].
+pub type ArgRef<'a> = ArgIn<Borrowed<'a>>;
+
+/// A recorded method call: the paper's `InvocationData` class, over
+/// payload storage `R`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InvocationData {
+pub struct InvocationDataIn<R: Repr> {
     /// This call's sequence number.
     pub seq: CallSeq,
     /// The receiver.
     pub target: Target,
     /// Method name, as generated by the interface tool.
-    pub method: String,
+    pub method: R::Str,
     /// Arguments in positional order.
-    pub args: Vec<Arg>,
+    pub args: Vec<ArgIn<R>>,
     /// When set, this call belongs to the sub-batch of the cursor created by
     /// the given call, and the server repeats it for every array element.
     pub cursor: Option<CallSeq>,
@@ -80,6 +88,13 @@ pub struct InvocationData {
     /// opens a cursor.
     pub opens_cursor: bool,
 }
+
+/// An owned recorded call.
+pub type InvocationData = InvocationDataIn<Owned>;
+
+/// A recorded method call decoded as a borrowed view — see
+/// [`BatchRequestRef`].
+pub type InvocationDataRef<'a> = InvocationDataIn<Borrowed<'a>>;
 
 /// What the server should do when a batched call throws
 /// (paper Section 3.3).
@@ -153,18 +168,6 @@ impl PolicySpec {
     }
 }
 
-/// One argument of a batched call, decoded as a borrowed view —
-/// see [`BatchRequestRef`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArgRef<'a> {
-    /// A value passed by copy, payloads borrowed from the frame.
-    Value(ValueRef<'a>),
-    /// The remote object produced by an earlier call in this batch chain.
-    Result(CallSeq),
-    /// One element of a flushed cursor's array.
-    CursorElement(CallSeq, u32),
-}
-
 impl ArgRef<'_> {
     /// Converts to an owned [`Arg`], copying any borrowed payloads.
     pub fn into_owned(self) -> Arg {
@@ -185,24 +188,6 @@ impl Arg {
             Arg::CursorElement(seq, index) => ArgRef::CursorElement(*seq, *index),
         }
     }
-}
-
-/// A recorded method call decoded as a borrowed view — see
-/// [`BatchRequestRef`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct InvocationDataRef<'a> {
-    /// This call's sequence number.
-    pub seq: CallSeq,
-    /// The receiver.
-    pub target: Target,
-    /// Method name, borrowed from the frame.
-    pub method: &'a str,
-    /// Arguments in positional order.
-    pub args: Vec<ArgRef<'a>>,
-    /// The cursor this call belongs to, if any.
-    pub cursor: Option<CallSeq>,
-    /// True when this call opens a cursor.
-    pub opens_cursor: bool,
 }
 
 impl InvocationDataRef<'_> {
@@ -234,19 +219,23 @@ impl InvocationData {
     }
 }
 
-/// A whole recorded batch, sent to the server by `flush`.
+/// A whole recorded batch, sent to the server by `flush`, over payload
+/// storage `R`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchRequest {
+pub struct BatchRequestIn<R: Repr> {
     /// Session to continue, when this batch chains onto a previous one.
     pub session: Option<SessionId>,
     /// Recorded calls, in invocation order.
-    pub calls: Vec<InvocationData>,
+    pub calls: Vec<InvocationDataIn<R>>,
     /// Exception policy for the batch.
     pub policy: PolicySpec,
     /// True for `flush_and_continue`: the server must keep the object array
     /// alive and return a session id.
     pub keep_session: bool,
 }
+
+/// An owned batch request: what the client records and encodes.
+pub type BatchRequest = BatchRequestIn<Owned>;
 
 /// A batch request decoded as a borrowed view: the server dispatch path's
 /// zero-copy form of [`BatchRequest`].
@@ -256,17 +245,7 @@ pub struct BatchRequest {
 /// argument to an owned [`Value`] only when it hands it to the application.
 /// The policy is decoded owned — it is per batch, not per call, so its
 /// strings are off the hot path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchRequestRef<'a> {
-    /// Session to continue, when this batch chains onto a previous one.
-    pub session: Option<SessionId>,
-    /// Recorded calls, in invocation order.
-    pub calls: Vec<InvocationDataRef<'a>>,
-    /// Exception policy for the batch.
-    pub policy: PolicySpec,
-    /// True for `flush_and_continue`.
-    pub keep_session: bool,
-}
+pub type BatchRequestRef<'a> = BatchRequestIn<Borrowed<'a>>;
 
 impl BatchRequestRef<'_> {
     /// Converts to an owned [`BatchRequest`], copying borrowed payloads.
@@ -378,10 +357,7 @@ impl WireCodec for CallSeq {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let raw = dec.take_varint(CTX)?;
-        u32::try_from(raw)
-            .map(CallSeq)
-            .map_err(|_| WireError::VarintOverflow)
+        dec.take_u32(CTX).map(CallSeq)
     }
 }
 
@@ -405,16 +381,12 @@ impl WireCodec for Target {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        match dec.take_u8(CTX)? {
-            0 => Ok(Target::Remote(ObjectId(dec.take_varint(CTX)?))),
-            1 => Ok(Target::Result(CallSeq::decode(dec)?)),
-            2 => {
-                let seq = CallSeq::decode(dec)?;
-                let index = dec.take_varint(CTX)? as u32;
-                Ok(Target::CursorElement(seq, index))
-            }
-            tag => Err(WireError::UnknownTag { context: CTX, tag }),
-        }
+        Ok(match dec.take_u8(CTX)? {
+            0 => Target::Remote(ObjectId(dec.take_varint(CTX)?)),
+            1 => Target::Result(CallSeq::decode(dec)?),
+            2 => Target::CursorElement(CallSeq::decode(dec)?, dec.take_u32(CTX)?),
+            tag => return Err(WireError::UnknownTag { context: CTX, tag }),
+        })
     }
 }
 
@@ -438,16 +410,26 @@ impl WireCodec for Arg {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        match dec.take_u8(CTX)? {
-            0 => Ok(Arg::Value(Value::decode(dec)?)),
-            1 => Ok(Arg::Result(CallSeq::decode(dec)?)),
-            2 => {
-                let seq = CallSeq::decode(dec)?;
-                let index = dec.take_varint(CTX)? as u32;
-                Ok(Arg::CursorElement(seq, index))
-            }
-            tag => Err(WireError::UnknownTag { context: CTX, tag }),
-        }
+        Arg::decode(dec)
+    }
+}
+
+impl<R: Repr> ArgIn<R> {
+    /// Decodes one argument into storage `R` (see [`ValueIn::decode`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] when the input is truncated or malformed.
+    pub fn decode<'de>(dec: &mut Decoder<'de>) -> Result<Self, WireError>
+    where
+        R: DecodeRepr<'de>,
+    {
+        Ok(match dec.take_u8(CTX)? {
+            0 => ArgIn::Value(ValueIn::decode(dec)?),
+            1 => ArgIn::Result(CallSeq::decode(dec)?),
+            2 => ArgIn::CursorElement(CallSeq::decode(dec)?, dec.take_u32(CTX)?),
+            tag => return Err(WireError::UnknownTag { context: CTX, tag }),
+        })
     }
 }
 
@@ -471,27 +453,28 @@ impl WireCodec for InvocationData {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let seq = CallSeq::decode(dec)?;
-        let target = Target::decode(dec)?;
-        let method = dec.take_str(CTX)?;
-        let arg_count = dec.take_length(CTX)?;
-        let mut args = Vec::with_capacity(arg_count.min(1024));
-        for _ in 0..arg_count {
-            args.push(Arg::decode(dec)?);
-        }
-        let cursor = match dec.take_u8(CTX)? {
-            0 => None,
-            1 => Some(CallSeq::decode(dec)?),
-            tag => return Err(WireError::UnknownTag { context: CTX, tag }),
-        };
-        let opens_cursor = dec.take_bool(CTX)?;
-        Ok(InvocationData {
-            seq,
-            target,
-            method,
-            args,
-            cursor,
-            opens_cursor,
+        InvocationData::decode(dec)
+    }
+}
+
+impl<R: Repr> InvocationDataIn<R> {
+    /// Decodes one recorded call into storage `R` (see
+    /// [`ValueIn::decode`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] when the input is truncated or malformed.
+    pub fn decode<'de>(dec: &mut Decoder<'de>) -> Result<Self, WireError>
+    where
+        R: DecodeRepr<'de>,
+    {
+        Ok(InvocationDataIn {
+            seq: CallSeq::decode(dec)?,
+            target: Target::decode(dec)?,
+            method: R::take_str(dec, CTX)?,
+            args: dec.take_vec(CTX, ArgIn::decode)?,
+            cursor: dec.take_option(CTX, CallSeq::decode)?,
+            opens_cursor: dec.take_bool(CTX)?,
         })
     }
 }
@@ -527,14 +510,6 @@ fn encode_opt_str(enc: &mut Encoder, s: &Option<String>) {
     }
 }
 
-fn decode_opt_str(dec: &mut Decoder<'_>) -> Result<Option<String>, WireError> {
-    match dec.take_u8(CTX)? {
-        0 => Ok(None),
-        1 => Ok(Some(dec.take_str(CTX)?)),
-        tag => Err(WireError::UnknownTag { context: CTX, tag }),
-    }
-}
-
 impl WireCodec for PolicyRule {
     fn encode(&self, enc: &mut Encoder) {
         encode_opt_str(enc, &self.exception);
@@ -550,19 +525,11 @@ impl WireCodec for PolicyRule {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let exception = decode_opt_str(dec)?;
-        let method = decode_opt_str(dec)?;
-        let index = match dec.take_u8(CTX)? {
-            0 => None,
-            1 => Some(dec.take_varint(CTX)? as u32),
-            tag => return Err(WireError::UnknownTag { context: CTX, tag }),
-        };
-        let action = ExceptionAction::decode(dec)?;
         Ok(PolicyRule {
-            exception,
-            method,
-            index,
-            action,
+            exception: dec.take_option(CTX, |dec| dec.take_str(CTX))?,
+            method: dec.take_option(CTX, |dec| dec.take_str(CTX))?,
+            index: dec.take_option(CTX, |dec| dec.take_u32(CTX))?,
+            action: ExceptionAction::decode(dec)?,
         })
     }
 }
@@ -589,11 +556,7 @@ impl WireCodec for PolicySpec {
             1 => PolicySpec::Continue,
             2 => {
                 let default = ExceptionAction::decode(dec)?;
-                let count = dec.take_length(CTX)?;
-                let mut rules = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    rules.push(PolicyRule::decode(dec)?);
-                }
+                let rules = dec.take_vec(CTX, PolicyRule::decode)?;
                 PolicySpec::Custom { default, rules }
             }
             tag => return Err(WireError::UnknownTag { context: CTX, tag }),
@@ -619,109 +582,31 @@ impl WireCodec for BatchRequest {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let session = match dec.take_u8(CTX)? {
-            0 => None,
-            1 => Some(SessionId(dec.take_varint(CTX)?)),
-            tag => return Err(WireError::UnknownTag { context: CTX, tag }),
-        };
-        let count = dec.take_length(CTX)?;
-        let mut calls = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            calls.push(InvocationData::decode(dec)?);
-        }
-        let policy = PolicySpec::decode(dec)?;
-        let keep_session = dec.take_bool(CTX)?;
-        Ok(BatchRequest {
-            session,
-            calls,
-            policy,
-            keep_session,
-        })
+        BatchRequest::decode(dec)
     }
 }
 
-impl<'a> ArgRef<'a> {
-    /// Decodes one argument as a borrowed view. Reads the same wire format
-    /// as [`Arg`]'s [`WireCodec::decode`].
+impl<R: Repr> BatchRequestIn<R> {
+    /// Decodes one batch request into storage `R` (see
+    /// [`ValueIn::decode`]).
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] when the input is truncated or malformed.
-    pub fn decode(dec: &mut Decoder<'a>) -> Result<ArgRef<'a>, WireError> {
-        match dec.take_u8(CTX)? {
-            0 => Ok(ArgRef::Value(ValueRef::decode(dec)?)),
-            1 => Ok(ArgRef::Result(CallSeq::decode(dec)?)),
-            2 => {
-                let seq = CallSeq::decode(dec)?;
-                let index = dec.take_varint(CTX)? as u32;
-                Ok(ArgRef::CursorElement(seq, index))
-            }
-            tag => Err(WireError::UnknownTag { context: CTX, tag }),
-        }
-    }
-}
-
-impl<'a> InvocationDataRef<'a> {
-    /// Decodes one recorded call as a borrowed view. Reads the same wire
-    /// format as [`InvocationData`]'s [`WireCodec::decode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] when the input is truncated or malformed.
-    pub fn decode(dec: &mut Decoder<'a>) -> Result<InvocationDataRef<'a>, WireError> {
-        let seq = CallSeq::decode(dec)?;
-        let target = Target::decode(dec)?;
-        let method = dec.take_str_ref(CTX)?;
-        let arg_count = dec.take_length(CTX)?;
-        let mut args = Vec::with_capacity(arg_count.min(1024));
-        for _ in 0..arg_count {
-            args.push(ArgRef::decode(dec)?);
-        }
-        let cursor = match dec.take_u8(CTX)? {
-            0 => None,
-            1 => Some(CallSeq::decode(dec)?),
-            tag => return Err(WireError::UnknownTag { context: CTX, tag }),
-        };
-        let opens_cursor = dec.take_bool(CTX)?;
-        Ok(InvocationDataRef {
-            seq,
-            target,
-            method,
-            args,
-            cursor,
-            opens_cursor,
+    pub fn decode<'de>(dec: &mut Decoder<'de>) -> Result<Self, WireError>
+    where
+        R: DecodeRepr<'de>,
+    {
+        Ok(BatchRequestIn {
+            session: dec.take_option(CTX, |dec| Ok(SessionId(dec.take_varint(CTX)?)))?,
+            calls: dec.take_vec(CTX, InvocationDataIn::decode)?,
+            policy: PolicySpec::decode(dec)?,
+            keep_session: dec.take_bool(CTX)?,
         })
     }
 }
 
 impl<'a> BatchRequestRef<'a> {
-    /// Decodes one batch request as a borrowed view. Reads the same wire
-    /// format as [`BatchRequest`]'s [`WireCodec::decode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] when the input is truncated or malformed.
-    pub fn decode(dec: &mut Decoder<'a>) -> Result<BatchRequestRef<'a>, WireError> {
-        let session = match dec.take_u8(CTX)? {
-            0 => None,
-            1 => Some(SessionId(dec.take_varint(CTX)?)),
-            tag => return Err(WireError::UnknownTag { context: CTX, tag }),
-        };
-        let count = dec.take_length(CTX)?;
-        let mut calls = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            calls.push(InvocationDataRef::decode(dec)?);
-        }
-        let policy = PolicySpec::decode(dec)?;
-        let keep_session = dec.take_bool(CTX)?;
-        Ok(BatchRequestRef {
-            session,
-            calls,
-            policy,
-            keep_session,
-        })
-    }
-
     /// Decodes exactly one borrowed batch request from `bytes`, rejecting
     /// trailing garbage.
     ///
@@ -801,28 +686,11 @@ impl WireCodec for CursorResult {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let cursor_seq = CallSeq::decode(dec)?;
-        let len = dec.take_varint(CTX)? as u32;
-        let member_count = dec.take_length(CTX)?;
-        let mut members = Vec::with_capacity(member_count.min(1024));
-        for _ in 0..member_count {
-            members.push(CallSeq::decode(dec)?);
-        }
-        let row_count = dec.take_length(CTX)?;
-        let mut rows = Vec::with_capacity(row_count.min(1024));
-        for _ in 0..row_count {
-            let outcome_count = dec.take_length(CTX)?;
-            let mut row = Vec::with_capacity(outcome_count.min(1024));
-            for _ in 0..outcome_count {
-                row.push(SlotOutcome::decode(dec)?);
-            }
-            rows.push(row);
-        }
         Ok(CursorResult {
-            cursor_seq,
-            len,
-            members,
-            rows,
+            cursor_seq: CallSeq::decode(dec)?,
+            len: dec.take_u32(CTX)?,
+            members: dec.take_vec(CTX, CallSeq::decode)?,
+            rows: dec.take_vec(CTX, |dec| dec.take_vec(CTX, SlotOutcome::decode))?,
         })
     }
 }
@@ -849,29 +717,13 @@ impl WireCodec for BatchResponse {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let session = match dec.take_u8(CTX)? {
-            0 => None,
-            1 => Some(SessionId(dec.take_varint(CTX)?)),
-            tag => return Err(WireError::UnknownTag { context: CTX, tag }),
-        };
-        let slot_count = dec.take_length(CTX)?;
-        let mut slots = Vec::with_capacity(slot_count.min(1024));
-        for _ in 0..slot_count {
-            let seq = CallSeq::decode(dec)?;
-            let outcome = SlotOutcome::decode(dec)?;
-            slots.push((seq, outcome));
-        }
-        let cursor_count = dec.take_length(CTX)?;
-        let mut cursors = Vec::with_capacity(cursor_count.min(1024));
-        for _ in 0..cursor_count {
-            cursors.push(CursorResult::decode(dec)?);
-        }
-        let restarts = dec.take_varint(CTX)? as u32;
         Ok(BatchResponse {
-            session,
-            slots,
-            cursors,
-            restarts,
+            session: dec.take_option(CTX, |dec| Ok(SessionId(dec.take_varint(CTX)?)))?,
+            slots: dec.take_vec(CTX, |dec| {
+                Ok((CallSeq::decode(dec)?, SlotOutcome::decode(dec)?))
+            })?,
+            cursors: dec.take_vec(CTX, CursorResult::decode)?,
+            restarts: dec.take_u32(CTX)?,
         })
     }
 }
@@ -879,6 +731,7 @@ impl WireCodec for BatchResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::ValueRef;
 
     fn sample_request() -> BatchRequest {
         BatchRequest {
@@ -1136,5 +989,85 @@ mod tests {
         for cut in [1usize, bytes.len() / 2, bytes.len() - 1] {
             assert!(BatchRequest::from_wire_bytes(&bytes[..cut]).is_err());
         }
+    }
+
+    /// One past `u32::MAX`: a decoder that truncates reads it as 1.
+    const PAST_U32: u64 = (1 << 32) + 1;
+
+    /// The bytes `prefix` writes, then [`PAST_U32`] where a `u32` is read.
+    fn past_u32(prefix: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        prefix(&mut enc);
+        enc.put_varint(PAST_U32);
+        enc.into_bytes()
+    }
+
+    /// A cursor-element reference to call 0, up to its index.
+    fn cursor_element_of_call_0(enc: &mut Encoder) {
+        enc.put_u8(2);
+        CallSeq(0).encode(enc);
+    }
+
+    #[test]
+    fn call_seq_past_u32_is_rejected() {
+        let bytes = past_u32(|_| {});
+        assert_eq!(
+            CallSeq::from_wire_bytes(&bytes),
+            Err(WireError::VarintOverflow)
+        );
+    }
+
+    #[test]
+    fn target_cursor_index_past_u32_is_rejected() {
+        let bytes = past_u32(cursor_element_of_call_0);
+        assert_eq!(
+            Target::from_wire_bytes(&bytes),
+            Err(WireError::VarintOverflow)
+        );
+    }
+
+    #[test]
+    fn arg_cursor_index_past_u32_is_rejected_owned_and_borrowed() {
+        let bytes = past_u32(cursor_element_of_call_0);
+        assert_eq!(Arg::from_wire_bytes(&bytes), Err(WireError::VarintOverflow));
+        let borrowed = ArgRef::decode(&mut Decoder::new(&bytes));
+        assert_eq!(borrowed, Err(WireError::VarintOverflow));
+    }
+
+    #[test]
+    fn policy_rule_index_past_u32_is_rejected() {
+        // No exception name, no method name, then a present index.
+        let bytes = past_u32(|enc| {
+            enc.put_u8(0);
+            enc.put_u8(0);
+            enc.put_u8(1);
+        });
+        assert_eq!(
+            PolicyRule::from_wire_bytes(&bytes),
+            Err(WireError::VarintOverflow)
+        );
+    }
+
+    #[test]
+    fn cursor_result_len_past_u32_is_rejected() {
+        let bytes = past_u32(|enc| CallSeq(2).encode(enc));
+        assert_eq!(
+            CursorResult::from_wire_bytes(&bytes),
+            Err(WireError::VarintOverflow)
+        );
+    }
+
+    #[test]
+    fn batch_response_restarts_past_u32_is_rejected() {
+        // No session, no slots, no cursors, then the restart count.
+        let bytes = past_u32(|enc| {
+            enc.put_u8(0);
+            enc.put_varint(0);
+            enc.put_varint(0);
+        });
+        assert_eq!(
+            BatchResponse::from_wire_bytes(&bytes),
+            Err(WireError::VarintOverflow)
+        );
     }
 }

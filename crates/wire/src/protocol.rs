@@ -21,10 +21,10 @@
 //!   frame, and re-wraps what it forwards and returns
 //!   ([`Frame::with_trace`]).
 
-use crate::codec::{Decoder, Encoder, IntWidth, WireCodec};
+use crate::codec::{DecodeRepr, Decoder, Encoder, IntWidth, WireCodec};
 use crate::error::WireError;
-use crate::invocation::{BatchRequest, BatchRequestRef, BatchResponse, ErrorEnvelope, SessionId};
-use crate::value::{ObjectId, Value, ValueRef};
+use crate::invocation::{BatchRequest, BatchRequestIn, BatchResponse, ErrorEnvelope, SessionId};
+use crate::value::{Borrowed, ObjectId, Owned, Repr, Value, ValueIn, ValueRef};
 
 /// A client-generated idempotency key: `(client_id, seq)` names one logical
 /// request, and `acked` piggybacks the client's acknowledgement watermark —
@@ -106,15 +106,23 @@ impl WireCodec for TraceCtx {
 /// the payload of a [`Frame::BatchCall`] and of every member of a
 /// [`Frame::SuperBatchCall`]. The key names *this* batch, so a relay may
 /// regroup keyed batches across retries (singleton vs coalesced) without
-/// confusing the origin's dedup.
+/// confusing the origin's dedup. Generic over payload storage `R`; the key
+/// is tiny and owned in both forms, only the batch payload borrows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchCall {
+pub struct BatchCallIn<R: Repr> {
     /// The idempotency key naming this batch; `None` keeps the
     /// at-most-once contract.
     pub key: Option<IdemKey>,
     /// The batch itself, executed the same with or without a key.
-    pub request: BatchRequest,
+    pub request: BatchRequestIn<R>,
 }
+
+/// An owned batch call.
+pub type BatchCall = BatchCallIn<Owned>;
+
+/// Borrowed view of a [`BatchCall`]: call descriptors borrowed from the
+/// frame buffer.
+pub type BatchCallRef<'a> = BatchCallIn<Borrowed<'a>>;
 
 impl From<BatchRequest> for BatchCall {
     /// An unkeyed batch call.
@@ -132,16 +140,6 @@ impl BatchCall {
             request: self.request.to_ref(),
         }
     }
-}
-
-/// Borrowed view of a [`BatchCall`] (the key is tiny and always owned;
-/// only the batch payload borrows).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchCallRef<'a> {
-    /// The idempotency key naming this batch, if any.
-    pub key: Option<IdemKey>,
-    /// The batch, call descriptors borrowed from the frame buffer.
-    pub request: BatchRequestRef<'a>,
 }
 
 impl BatchCallRef<'_> {
@@ -409,17 +407,35 @@ fn take_key(keyed: bool, dec: &mut Decoder<'_>) -> Result<Option<IdemKey>, WireE
     keyed.then(|| IdemKey::decode(dec)).transpose()
 }
 
-/// Reads a length-prefixed sequence, one `item` per element.
-fn take_vec<'a, T>(
-    dec: &mut Decoder<'a>,
-    mut item: impl FnMut(&mut Decoder<'a>) -> Result<T, WireError>,
-) -> Result<Vec<T>, WireError> {
-    let count = dec.take_length(CTX)?;
-    let mut items = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        items.push(item(dec)?);
-    }
-    Ok(items)
+/// Reads the body of a call: its key, receiver, method name and arguments.
+#[allow(clippy::type_complexity)]
+fn take_call<'de, R: DecodeRepr<'de>>(
+    keyed: bool,
+    dec: &mut Decoder<'de>,
+) -> Result<(Option<IdemKey>, ObjectId, R::Str, Vec<ValueIn<R>>), WireError> {
+    let key = take_key(keyed, dec)?;
+    let target = ObjectId(dec.take_varint(CTX)?);
+    let method = R::take_str(dec, CTX)?;
+    Ok((key, target, method, dec.take_vec(CTX, ValueIn::decode)?))
+}
+
+/// Reads one batch call: its key, then the batch.
+fn take_batch<'de, R: DecodeRepr<'de>>(
+    keyed: bool,
+    dec: &mut Decoder<'de>,
+) -> Result<BatchCallIn<R>, WireError> {
+    Ok(BatchCallIn {
+        key: take_key(keyed, dec)?,
+        request: BatchRequestIn::decode(dec)?,
+    })
+}
+
+/// Reads a super-batch's members, each keyed when the tag says so.
+fn take_members<'de, R: DecodeRepr<'de>>(
+    keyed: bool,
+    dec: &mut Decoder<'de>,
+) -> Result<Vec<BatchCallIn<R>>, WireError> {
+    dec.take_vec(CTX, |dec| take_batch(keyed, dec))
 }
 
 fn put_ids(enc: &mut Encoder, ids: &[ObjectId]) {
@@ -430,7 +446,7 @@ fn put_ids(enc: &mut Encoder, ids: &[ObjectId]) {
 }
 
 fn take_ids(dec: &mut Decoder<'_>) -> Result<Vec<ObjectId>, WireError> {
-    take_vec(dec, |dec| Ok(ObjectId(dec.take_varint(CTX)?)))
+    dec.take_vec(CTX, |dec| Ok(ObjectId(dec.take_varint(CTX)?)))
 }
 
 /// Reads a traced envelope's context and the tag of the frame inside it.
@@ -549,10 +565,7 @@ impl Frame {
     fn decode_body(tag: u8, dec: &mut Decoder<'_>) -> Result<Frame, WireError> {
         match tag {
             TAG_CALL | TAG_KEYED_CALL => {
-                let key = take_key(tag == TAG_KEYED_CALL, dec)?;
-                let target = ObjectId(dec.take_varint(CTX)?);
-                let method = dec.take_str(CTX)?;
-                let args = take_vec(dec, Value::decode)?;
+                let (key, target, method, args) = take_call(tag == TAG_KEYED_CALL, dec)?;
                 Ok(Frame::Call {
                     key,
                     target,
@@ -562,22 +575,16 @@ impl Frame {
             }
             TAG_RETURN => Ok(Frame::Return(Value::decode(dec)?)),
             TAG_ERROR => Ok(Frame::Error(ErrorEnvelope::decode(dec)?)),
-            TAG_BATCH_CALL | TAG_KEYED_BATCH_CALL => Ok(Frame::BatchCall(BatchCall {
-                key: take_key(tag == TAG_KEYED_BATCH_CALL, dec)?,
-                request: BatchRequest::decode(dec)?,
-            })),
+            TAG_BATCH_CALL | TAG_KEYED_BATCH_CALL => Ok(Frame::BatchCall(take_batch(
+                tag == TAG_KEYED_BATCH_CALL,
+                dec,
+            )?)),
             TAG_BATCH_RETURN => Ok(Frame::BatchReturn(BatchResponse::decode(dec)?)),
-            TAG_SUPER_BATCH_CALL | TAG_KEYED_SUPER_BATCH_CALL => {
-                let members = take_vec(dec, |dec| {
-                    Ok(BatchCall {
-                        key: take_key(tag == TAG_KEYED_SUPER_BATCH_CALL, dec)?,
-                        request: BatchRequest::decode(dec)?,
-                    })
-                })?;
-                Ok(Frame::SuperBatchCall(members))
-            }
+            TAG_SUPER_BATCH_CALL | TAG_KEYED_SUPER_BATCH_CALL => Ok(Frame::SuperBatchCall(
+                take_members(tag == TAG_KEYED_SUPER_BATCH_CALL, dec)?,
+            )),
             TAG_SUPER_BATCH_RETURN => {
-                let replies = take_vec(dec, |dec| match dec.take_u8(CTX)? {
+                let replies = dec.take_vec(CTX, |dec| match dec.take_u8(CTX)? {
                     0 => Ok(Ok(BatchResponse::decode(dec)?)),
                     1 => Ok(Err(ErrorEnvelope::decode(dec)?)),
                     tag => Err(WireError::UnknownTag { context: CTX, tag }),
@@ -667,10 +674,7 @@ impl<'a> FrameRef<'a> {
     fn decode_body(tag: u8, dec: &mut Decoder<'a>) -> Result<FrameRef<'a>, WireError> {
         match tag {
             TAG_CALL | TAG_KEYED_CALL => {
-                let key = take_key(tag == TAG_KEYED_CALL, dec)?;
-                let target = ObjectId(dec.take_varint(CTX)?);
-                let method = dec.take_str_ref(CTX)?;
-                let args = take_vec(dec, ValueRef::decode)?;
+                let (key, target, method, args) = take_call(tag == TAG_KEYED_CALL, dec)?;
                 Ok(FrameRef::Call {
                     key,
                     target,
@@ -678,19 +682,13 @@ impl<'a> FrameRef<'a> {
                     args,
                 })
             }
-            TAG_BATCH_CALL | TAG_KEYED_BATCH_CALL => Ok(FrameRef::BatchCall(BatchCallRef {
-                key: take_key(tag == TAG_KEYED_BATCH_CALL, dec)?,
-                request: BatchRequestRef::decode(dec)?,
-            })),
-            TAG_SUPER_BATCH_CALL | TAG_KEYED_SUPER_BATCH_CALL => {
-                let members = take_vec(dec, |dec| {
-                    Ok(BatchCallRef {
-                        key: take_key(tag == TAG_KEYED_SUPER_BATCH_CALL, dec)?,
-                        request: BatchRequestRef::decode(dec)?,
-                    })
-                })?;
-                Ok(FrameRef::SuperBatchCall(members))
-            }
+            TAG_BATCH_CALL | TAG_KEYED_BATCH_CALL => Ok(FrameRef::BatchCall(take_batch(
+                tag == TAG_KEYED_BATCH_CALL,
+                dec,
+            )?)),
+            TAG_SUPER_BATCH_CALL | TAG_KEYED_SUPER_BATCH_CALL => Ok(FrameRef::SuperBatchCall(
+                take_members(tag == TAG_KEYED_SUPER_BATCH_CALL, dec)?,
+            )),
             TAG_TRACED => {
                 let (ctx, inner_tag) = take_trace_header(dec)?;
                 Ok(FrameRef::Traced {

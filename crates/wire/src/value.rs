@@ -7,6 +7,7 @@
 //! parameters.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 use crate::error::{RemoteError, RemoteErrorKind};
 
@@ -27,13 +28,48 @@ impl fmt::Display for ObjectId {
     }
 }
 
-/// A wire-transmissible value.
+/// How a wire type stores its string and byte payloads.
+///
+/// The request model ([`ValueIn`] and the batch types built on it) is
+/// written once over this parameter. [`Owned`] storage copies payloads out
+/// of the frame into `String`/`Vec<u8>`; [`Borrowed`] storage keeps them as
+/// slices of the frame buffer — the server dispatch path's zero-copy form.
+/// The payload bounds let every form derive `Debug`, `Clone` and
+/// `PartialEq`.
+pub trait Repr {
+    /// A UTF-8 string payload (values, record field names, method names).
+    type Str: AsRef<str> + Clone + fmt::Debug + PartialEq;
+    /// An opaque byte payload.
+    type Bytes: AsRef<[u8]> + Clone + fmt::Debug + PartialEq;
+}
+
+/// Owned storage: payloads live in `String` and `Vec<u8>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Owned;
+
+/// Borrowed storage: payloads are `&'a str` and `&'a [u8]` slices of the
+/// byte buffer the value was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Borrowed<'a>(PhantomData<&'a [u8]>);
+
+impl Repr for Owned {
+    type Str = String;
+    type Bytes = Vec<u8>;
+}
+
+impl<'a> Repr for Borrowed<'a> {
+    type Str = &'a str;
+    type Bytes = &'a [u8];
+}
+
+/// A wire-transmissible value, over payload storage `R`.
 ///
 /// The model is deliberately small: enough to express the paper's case
 /// studies (strings, numbers, dates, byte blobs, arrays, records) plus
-/// remote references.
+/// remote references. Application code sees the owned form, [`Value`];
+/// the server dispatch path decodes the borrowed form, [`ValueRef`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum ValueIn<R: Repr> {
     /// Absence of a value; also the return "value" of `void` methods.
     Null,
     /// A boolean.
@@ -45,18 +81,36 @@ pub enum Value {
     /// A 64-bit float.
     F64(f64),
     /// A UTF-8 string, passed by copy.
-    Str(String),
+    Str(R::Str),
     /// An opaque byte blob (file contents, serialized payloads).
-    Bytes(Vec<u8>),
+    Bytes(R::Bytes),
     /// A timestamp in milliseconds since the Unix epoch (Java `Date`).
     Date(i64),
     /// An ordered list of values.
-    List(Vec<Value>),
+    List(Vec<ValueIn<R>>),
     /// A record: ordered field name/value pairs (a struct by copy).
-    Record(Vec<(String, Value)>),
+    Record(Vec<(R::Str, ValueIn<R>)>),
     /// A reference to a remote object exported by the peer.
     RemoteRef(ObjectId),
 }
+
+/// An owned wire value: what every method argument and return value is
+/// converted to before transmission.
+pub type Value = ValueIn<Owned>;
+
+/// A borrowed view of a wire value: the zero-copy decode fast path.
+///
+/// Decoding an owned [`Value`] copies every `Str`/`Bytes` payload (and every
+/// record field name) out of the frame. On the server dispatch path those
+/// copies are pure overhead — the frame buffer outlives dispatch — so the
+/// hot path decodes a `ValueRef` instead and converts to an owned [`Value`]
+/// only at the application boundary (see [`ToValue::to_value`], which
+/// `ValueRef` implements). Both forms share one decoder, [`ValueIn::decode`].
+///
+/// Lifetime contract: a `ValueRef<'a>` borrows the byte buffer it was
+/// decoded from and must not outlive it. Keep the frame buffer alive for
+/// the whole dispatch, then let both go together.
+pub type ValueRef<'a> = ValueIn<Borrowed<'a>>;
 
 impl Value {
     /// A short name for the value's variant, used in conversion errors.
@@ -105,45 +159,6 @@ impl Value {
             other => Err(conversion_error("list", &other)),
         }
     }
-}
-
-/// A borrowed view of a wire value: the zero-copy decode fast path.
-///
-/// Decoding an owned [`Value`] copies every `Str`/`Bytes` payload (and every
-/// record field name) out of the frame. On the server dispatch path those
-/// copies are pure overhead — the frame buffer outlives dispatch — so the
-/// hot path decodes a `ValueRef` instead, whose string and byte payloads
-/// are slices into the frame, and converts to an owned [`Value`] only at
-/// the application boundary (see [`ToValue::to_value`], which `ValueRef`
-/// implements).
-///
-/// Lifetime contract: a `ValueRef<'a>` borrows the byte buffer it was
-/// decoded from and must not outlive it. Keep the frame buffer alive for
-/// the whole dispatch, then let both go together.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ValueRef<'a> {
-    /// Absence of a value.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// A 32-bit signed integer.
-    I32(i32),
-    /// A 64-bit signed integer.
-    I64(i64),
-    /// A 64-bit float.
-    F64(f64),
-    /// A UTF-8 string, borrowed from the frame.
-    Str(&'a str),
-    /// An opaque byte blob, borrowed from the frame.
-    Bytes(&'a [u8]),
-    /// A timestamp in milliseconds since the Unix epoch.
-    Date(i64),
-    /// An ordered list of values.
-    List(Vec<ValueRef<'a>>),
-    /// A record: ordered field name/value pairs, names borrowed.
-    Record(Vec<(&'a str, ValueRef<'a>)>),
-    /// A reference to a remote object exported by the peer.
-    RemoteRef(ObjectId),
 }
 
 impl ValueRef<'_> {

@@ -8,7 +8,18 @@ use brmi_wire::invocation::{
 };
 use brmi_wire::protocol::{BatchCall, Frame, FrameRef, IdemKey, TraceCtx};
 use brmi_wire::value::{ObjectId, Value, ValueRef};
+use brmi_wire::WireError;
 use proptest::prelude::*;
+
+/// Asserts that the owned and the borrowed decode of the same bytes agree:
+/// both fail with the same error, or both succeed with the same value.
+/// Values are compared by their encoding, so a decoded NaN matches itself.
+fn assert_decodes_agree<T: WireCodec>(owned: Result<T, WireError>, borrowed: Result<T, WireError>) {
+    assert_eq!(
+        owned.map(|v| v.to_wire_bytes()),
+        borrowed.map(|v| v.to_wire_bytes())
+    );
+}
 
 fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -408,14 +419,21 @@ proptest! {
 
     #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        // Any outcome is fine as long as it is a Result, not a panic.
-        let _ = Value::from_wire_bytes(&bytes);
-        let _ = Frame::from_wire_bytes(&bytes);
-        let _ = BatchRequest::from_wire_bytes(&bytes);
+        // Any outcome is fine as long as it is a Result, not a panic — and
+        // the owned and borrowed decoders reach the same one.
         let _ = BatchResponse::from_wire_bytes(&bytes);
-        let _ = ValueRef::from_wire_bytes(&bytes);
-        let _ = FrameRef::from_wire_bytes(&bytes);
-        let _ = BatchRequestRef::from_wire_bytes(&bytes);
+        assert_decodes_agree(
+            Value::from_wire_bytes(&bytes),
+            ValueRef::from_wire_bytes(&bytes).map(ValueRef::into_owned),
+        );
+        assert_decodes_agree(
+            BatchRequest::from_wire_bytes(&bytes),
+            BatchRequestRef::from_wire_bytes(&bytes).map(BatchRequestRef::into_owned),
+        );
+        assert_decodes_agree(
+            Frame::from_wire_bytes(&bytes),
+            FrameRef::from_wire_bytes(&bytes).map(FrameRef::into_owned),
+        );
     }
 
     #[test]
