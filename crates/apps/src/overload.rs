@@ -17,7 +17,7 @@
 //!   [`VirtualClock`], fed arrivals at a fixed spacing per sweep point:
 //!   the published `relay_adaptive_delay_nanos` gauge must converge to
 //!   the closed-form optimum `sqrt(2·U·a) − a` of
-//!   [`AdaptivePolicy`](brmi_transport::relay::AdaptivePolicy).
+//!   [`AdaptivePolicy`].
 
 use std::io::Read;
 use std::net::TcpStream;

@@ -16,7 +16,7 @@
 //!
 //! [`run_mux_stress`] is the client-side mirror: the *same* caller
 //! population served first by one multiplexed socket
-//! ([`MuxClient`](brmi_transport::mux::MuxClient), bursts coalesced into
+//! ([`MuxClient`], bursts coalesced into
 //! single vectored writes) and then by the [`TcpPool`] baseline (one
 //! socket and one write syscall per concurrent caller and call). Its
 //! socket and write-syscall counts are deterministic and form the

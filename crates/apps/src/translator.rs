@@ -9,7 +9,8 @@ use std::sync::Arc;
 use brmi::policy::ContinuePolicy;
 use brmi::{remote_interface, Batch, BatchFuture};
 use brmi_rmi::{Connection, RemoteRef};
-use brmi_wire::{FromValue, RemoteError, RemoteErrorKind, ToValue, Value};
+use brmi_wire::value::ValueIn;
+use brmi_wire::{FromValue, RemoteError, RemoteErrorKind, Repr, ToValue, Value};
 
 /// A word tagged with its language — the paper's serializable `Word`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -32,22 +33,38 @@ impl Word {
 
 impl ToValue for Word {
     fn to_value(&self) -> Value {
+        self.clone().into_value()
+    }
+
+    /// Moves both strings into the record; the field names are static.
+    fn into_value(self) -> Value {
         Value::Record(vec![
-            ("text".to_owned(), Value::Str(self.text.clone())),
-            ("lang".to_owned(), Value::Str(self.lang.clone())),
+            ("text".into(), Value::Str(self.text)),
+            ("lang".into(), Value::Str(self.lang)),
         ])
     }
 }
 
 impl FromValue for Word {
     fn from_value(value: Value) -> Result<Self, RemoteError> {
-        let fields = value.into_record()?;
+        Word::from_value_in(&value)
+    }
+
+    /// Copies `text` and `lang` straight out of the record, whether it is a
+    /// future's stored value or a view of the request frame.
+    fn from_value_in<R: Repr>(value: &ValueIn<R>) -> Result<Self, RemoteError> {
+        let ValueIn::Record(fields) = value else {
+            return Err(RemoteError::new(
+                RemoteErrorKind::BadArguments,
+                format!("expected record, got {}", value.type_name()),
+            ));
+        };
         let mut text = None;
         let mut lang = None;
         for (name, value) in fields {
-            match name.as_str() {
-                "text" => text = Some(String::from_value(value)?),
-                "lang" => lang = Some(String::from_value(value)?),
+            match name.as_ref() {
+                "text" => text = Some(String::from_value_in(value)?),
+                "lang" => lang = Some(String::from_value_in(value)?),
                 _ => {}
             }
         }
@@ -193,6 +210,51 @@ mod tests {
         assert_eq!(Word::from_value(word.to_value()).unwrap(), word);
         let err = Word::from_value(Value::Record(vec![])).unwrap_err();
         assert_eq!(err.kind(), RemoteErrorKind::BadArguments);
+    }
+
+    #[test]
+    fn word_moves_its_strings_into_the_record() {
+        let word = Word::new("hello", "en");
+        let text = word.text.as_ptr();
+        let Value::Record(fields) = word.into_value() else {
+            panic!("a word is a record");
+        };
+        assert!(matches!(fields[0].0, std::borrow::Cow::Borrowed("text")));
+        assert!(matches!(&fields[0].1, Value::Str(s) if s.as_ptr() == text));
+    }
+
+    proptest::proptest! {
+        /// `Word::from_value_in` on the owned value and on its borrowed
+        /// view agrees with `Word::from_value` on a copy: the same word, or
+        /// errors of the same kind.
+        #[test]
+        fn word_conversions_agree_borrowed_and_owned(
+            fields in proptest::collection::vec((0usize..3, 0usize..3, "[a-z]{0,6}"), 0..4),
+            record in proptest::prelude::any::<bool>(),
+        ) {
+            const NAMES: [&str; 3] = ["text", "lang", "other"];
+            let value = if record {
+                Value::Record(
+                    fields
+                        .into_iter()
+                        .map(|(name, kind, s)| {
+                            let value = match kind {
+                                0 => Value::Str(s),
+                                1 => Value::I32(s.len() as i32),
+                                _ => Value::Null,
+                            };
+                            (NAMES[name].into(), value)
+                        })
+                        .collect(),
+                )
+            } else {
+                Value::List(vec![])
+            };
+            let kind = |r: Result<Word, RemoteError>| r.map_err(|e| e.kind());
+            let taken = kind(Word::from_value(value.clone()));
+            proptest::prop_assert_eq!(kind(Word::from_value_in(&value)), taken.clone());
+            proptest::prop_assert_eq!(kind(Word::from_value_in(&value.to_ref())), taken);
+        }
     }
 
     #[test]

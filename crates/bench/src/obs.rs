@@ -258,7 +258,7 @@ pub fn obs_observability_figure() -> (MultiFigure, Vec<ObsPoint>) {
 }
 
 /// Asserts the no-op overhead contract on every point: instrumentation
-/// never changes what executes (checked inside [`run_point`]), the
+/// never changes what executes (checked inside `run_point`), the
 /// envelope adds at most [`MAX_ENVELOPE_BYTES_PER_FLUSH`] bytes per
 /// flush, and — once a flush carries [`OVERHEAD_PCT_MIN_BATCH`] calls —
 /// stays under [`MAX_ENVELOPE_OVERHEAD_PCT`] of bare wire bytes.

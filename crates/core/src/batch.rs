@@ -295,11 +295,14 @@ impl Batch {
 
     /// Records one call. Never panics: validation failures pre-fail the
     /// returned slot and poison the batch so `flush` reports them.
+    ///
+    /// The method name is static (a literal or the interface tool's
+    /// `stringify!`), so the recorded call borrows it instead of copying.
     pub(crate) fn record(
         &self,
         on: Receiver<'_>,
-        method: &str,
-        args: Vec<RecordArg>,
+        method: &'static str,
+        args: impl IntoIterator<Item = RecordArg>,
         opens_cursor: bool,
     ) -> Recorded {
         let slot = FutureSlot::new();
@@ -380,7 +383,8 @@ impl Batch {
         };
 
         // Convert arguments, merging any cursor context they imply.
-        let mut wire_args = Vec::with_capacity(args.len());
+        let args = args.into_iter();
+        let mut wire_args = Vec::with_capacity(args.size_hint().0);
         for arg in args {
             let converted = match arg {
                 RecordArg::Value(value) => Arg::Value(value),
@@ -473,7 +477,7 @@ impl Batch {
         inner.pending.push(InvocationData {
             seq: CallSeq(seq),
             target,
-            method: method.to_owned(),
+            method: method.into(),
             args: wire_args,
             cursor: ctx.map(CallSeq),
             opens_cursor,

@@ -9,9 +9,10 @@
 //! the batch (Section 3.3); and `flush_and_continue` sessions keep the
 //! object array alive between chained batches (Section 3.5).
 //!
-//! A call's decoded arguments are moved into its invoke. Only a policy
-//! that can answer `Repeat` keeps them and hands each attempt a copy, so
-//! every attempt sees identical arguments.
+//! A call's arguments reach its invoke as the borrowed views the request
+//! decode built, resolved into one buffer that every call of the run
+//! reuses. The invoke only borrows them, so a `Repeat` attempt lends the
+//! same slice again and every attempt sees identical arguments.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +24,7 @@ use brmi_wire::invocation::{
     ArgRef, BatchRequestRef, BatchResponse, CallSeq, CursorResult, ErrorEnvelope, ExceptionAction,
     InvocationDataRef, PolicySpec, SessionId, SlotOutcome, Target,
 };
-use brmi_wire::{RemoteError, RemoteErrorKind, ToValue, Value, ValueRef};
+use brmi_wire::{RemoteError, RemoteErrorKind, Value, ValueRef};
 use parking_lot::Mutex;
 
 /// Objects pinned alive between chained batches: remote results by call
@@ -250,9 +251,10 @@ enum Resolved {
     Fault(RemoteError),
 }
 
-/// Receiver + arguments ready for dispatch, or why not.
+/// The receiver, its arguments resolved into the run's argument buffer,
+/// or why not.
 enum Prep {
-    Ready(Arc<dyn RemoteObject>, Vec<InArg>),
+    Ready(Arc<dyn RemoteObject>),
     Skip(ErrorEnvelope),
     Fault(RemoteError),
 }
@@ -282,11 +284,11 @@ struct ElemCtx<'a> {
 }
 
 impl BatchExecutor {
-    fn run_once(
+    fn run_once<'r>(
         &self,
         server: &Arc<RmiServer>,
         mut state: SessionState,
-        request: &BatchRequestRef<'_>,
+        request: &BatchRequestRef<'r>,
         allow_restart: bool,
     ) -> RunResult {
         self.stats.batches.inc();
@@ -304,6 +306,7 @@ impl BatchExecutor {
         let mut slots: Vec<(CallSeq, SlotOutcome)> = Vec::with_capacity(calls.len());
         let mut cursors: Vec<CursorResult> = Vec::new();
         let mut break_cause: Option<ErrorEnvelope> = None;
+        let mut args: Vec<InArg<'r>> = Vec::new();
 
         for (index, call) in calls.iter().enumerate() {
             let seq = call.seq.0;
@@ -318,7 +321,7 @@ impl BatchExecutor {
                 continue;
             }
 
-            let disposition = match self.prepare(server, &state, &outcomes, call, None) {
+            let disposition = match self.prepare(server, &state, &outcomes, call, None, &mut args) {
                 Prep::Skip(env) => {
                     slots.push((call.seq, SlotOutcome::Skipped(env.clone())));
                     outcomes.insert(seq, Some(env));
@@ -327,10 +330,10 @@ impl BatchExecutor {
                 Prep::Fault(err) => {
                     self.fault_disposition(&err, call, index, &request.policy, allow_restart)
                 }
-                Prep::Ready(target, in_args) => self.execute_call(
+                Prep::Ready(target) => self.execute_call(
                     &target,
                     call,
-                    in_args,
+                    &args,
                     index,
                     &request.policy,
                     allow_restart,
@@ -439,12 +442,12 @@ impl BatchExecutor {
     // The Break abort carries the partial CursorResult by value; it is a
     // cold path, so the large Err variant is fine.
     #[allow(clippy::too_many_arguments, clippy::result_large_err)]
-    fn run_cursor(
+    fn run_cursor<'r>(
         &self,
         server: &Arc<RmiServer>,
         ctx: &CallCtx,
         state: &mut SessionState,
-        calls: &[InvocationDataRef<'_>],
+        calls: &[InvocationDataRef<'r>],
         member_idxs: &[usize],
         cursor_seq: u32,
         elements: Vec<Arc<dyn RemoteObject>>,
@@ -464,6 +467,7 @@ impl BatchExecutor {
 
         let mut rows: Vec<Vec<SlotOutcome>> = Vec::with_capacity(elements.len());
         let mut abort_env: Option<ErrorEnvelope> = None;
+        let mut args: Vec<InArg<'r>> = Vec::new();
 
         'elements: for element in &elements {
             self.stats.cursor_elements.inc();
@@ -480,27 +484,34 @@ impl BatchExecutor {
                     objects: &elem_objects,
                     outcomes: &elem_outcomes,
                 };
-                let disposition =
-                    match self.prepare(server, state, outer_outcomes, call, Some(&elem_ctx)) {
-                        Prep::Skip(env) => {
-                            row.push(SlotOutcome::Skipped(env.clone()));
-                            elem_outcomes.insert(seq, Some(env));
-                            columns.entry(seq).or_default().push(None);
-                            continue;
-                        }
-                        Prep::Fault(err) => {
-                            self.fault_disposition(&err, call, member_index, policy, allow_restart)
-                        }
-                        Prep::Ready(target, in_args) => self.execute_call(
-                            &target,
-                            call,
-                            in_args,
-                            member_index,
-                            policy,
-                            allow_restart,
-                            ctx,
-                        ),
-                    };
+                let prep = self.prepare(
+                    server,
+                    state,
+                    outer_outcomes,
+                    call,
+                    Some(&elem_ctx),
+                    &mut args,
+                );
+                let disposition = match prep {
+                    Prep::Skip(env) => {
+                        row.push(SlotOutcome::Skipped(env.clone()));
+                        elem_outcomes.insert(seq, Some(env));
+                        columns.entry(seq).or_default().push(None);
+                        continue;
+                    }
+                    Prep::Fault(err) => {
+                        self.fault_disposition(&err, call, member_index, policy, allow_restart)
+                    }
+                    Prep::Ready(target) => self.execute_call(
+                        &target,
+                        call,
+                        &args,
+                        member_index,
+                        policy,
+                        allow_restart,
+                        ctx,
+                    ),
+                };
                 match disposition {
                     Disposition::Restart => return Err(CursorAbort::Restart),
                     Disposition::Failure { env, brk } => {
@@ -563,14 +574,18 @@ impl BatchExecutor {
         }
     }
 
-    /// Resolves receiver and arguments for one call.
-    fn prepare(
+    /// Resolves the receiver of one call, and its arguments into `args`
+    /// (cleared first). A value argument stays the borrowed view the
+    /// request decode built: the skeleton converts it to its parameter
+    /// type, with no owned [`Value`] in between.
+    fn prepare<'r>(
         &self,
         server: &Arc<RmiServer>,
         state: &SessionState,
         outcomes: &HashMap<u32, Option<ErrorEnvelope>>,
-        call: &InvocationDataRef<'_>,
+        call: &InvocationDataRef<'r>,
         elem: Option<&ElemCtx<'_>>,
+        args: &mut Vec<InArg<'r>>,
     ) -> Prep {
         let target = match &call.target {
             Target::Remote(id) => self.resolve_table(server, *id),
@@ -582,26 +597,24 @@ impl BatchExecutor {
             Resolved::Dependency(env) => return Prep::Skip(env),
             Resolved::Fault(err) => return Prep::Fault(err),
         };
-        let mut in_args = Vec::with_capacity(call.args.len());
+        args.clear();
         for arg in &call.args {
             let resolved = match arg {
                 ArgRef::Value(ValueRef::RemoteRef(id)) => self.resolve_table(server, *id),
                 ArgRef::Value(value) => {
-                    // The application boundary: the borrowed payload becomes
-                    // an owned value here, and nowhere earlier.
-                    in_args.push(InArg::Value(value.to_value()));
+                    args.push(InArg::Value(value.clone()));
                     continue;
                 }
                 ArgRef::Result(seq) => self.resolve_result(seq.0, state, outcomes, elem),
                 ArgRef::CursorElement(seq, index) => self.resolve_element(state, seq.0, *index),
             };
             match resolved {
-                Resolved::Object(object) => in_args.push(InArg::Remote(object)),
+                Resolved::Object(object) => args.push(InArg::Remote(object)),
                 Resolved::Dependency(env) => return Prep::Skip(env),
                 Resolved::Fault(err) => return Prep::Fault(err),
             }
         }
-        Prep::Ready(target, in_args)
+        Prep::Ready(target)
     }
 
     fn resolve_table(&self, server: &Arc<RmiServer>, id: brmi_wire::ObjectId) -> Resolved {
@@ -667,28 +680,21 @@ impl BatchExecutor {
     }
 
     /// Invokes one call, applying the exception policy on failure
-    /// (including bounded `Repeat`).
+    /// (including bounded `Repeat`, which lends `args` again).
     #[allow(clippy::too_many_arguments)]
     fn execute_call(
         &self,
         target: &Arc<dyn RemoteObject>,
         call: &InvocationDataRef<'_>,
-        mut in_args: Vec<InArg>,
+        args: &[InArg<'_>],
         index: usize,
         policy: &PolicySpec,
         allow_restart: bool,
         ctx: &CallCtx,
     ) -> Disposition {
         self.count_replayed(target, call.method);
-        let repeatable = may_repeat(policy);
         let mut attempts = 0u32;
         loop {
-            // Without `Repeat` the loop runs once, so the arguments move.
-            let args = if repeatable {
-                in_args.clone()
-            } else {
-                std::mem::take(&mut in_args)
-            };
             match target.invoke(call.method, args, ctx) {
                 Ok(out) => return Disposition::Success(out),
                 Err(err) => {
@@ -744,20 +750,6 @@ impl BatchExecutor {
             ExceptionAction::Continue => Disposition::Failure { env, brk: false },
             ExceptionAction::Restart if allow_restart => Disposition::Restart,
             _ => Disposition::Failure { env, brk: true },
-        }
-    }
-}
-
-/// True when `policy` can answer `Repeat` for some failure — the only case
-/// in which a call may be invoked more than once with the same arguments.
-fn may_repeat(policy: &PolicySpec) -> bool {
-    match policy {
-        PolicySpec::Abort | PolicySpec::Continue => false,
-        PolicySpec::Custom { default, rules } => {
-            *default == ExceptionAction::Repeat
-                || rules
-                    .iter()
-                    .any(|rule| rule.action == ExceptionAction::Repeat)
         }
     }
 }

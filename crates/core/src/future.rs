@@ -61,7 +61,7 @@ impl FutureSlot {
     /// lock: when a pipelined flush is in flight, a touch blocks until the
     /// flush completes (the worker populates every slot before releasing
     /// waiters), then re-reads the state. The view decides what to copy
-    /// out — `get` clones the value once, state checks clone nothing.
+    /// out — `get` converts the value in place, state checks copy nothing.
     ///
     /// The gate is *cloned*, not taken: any number of threads may touch
     /// futures of the same segment concurrently, and each must find the
@@ -203,14 +203,14 @@ impl<T: FromValue> BatchFuture<T> {
     ///
     /// [`Batch::flush_async`]: crate::Batch::flush_async
     pub fn get(&self) -> Result<T, RemoteError> {
-        // The one deep copy of the value; the slot keeps its own so `get`
-        // stays repeatable.
-        let value = self.slot.claim(|state| match state {
+        // Converts straight from the stored value under the slot lock: the
+        // payloads are copied once, into `T`, and the slot keeps its value
+        // so `get` stays repeatable.
+        self.slot.claim(|state| match state {
             SlotState::Pending => Err(not_flushed()),
-            SlotState::Ready(value) => Ok(value.clone()),
+            SlotState::Ready(value) => T::from_value_in(value),
             SlotState::Failed(err) => Err(err.clone()),
-        })?;
-        T::from_value(value)
+        })
     }
 
     /// True once the future holds a value or an error.

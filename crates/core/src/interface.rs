@@ -70,18 +70,19 @@ pub trait Companions {
     /// # Errors
     ///
     /// `BadArguments` when the argument is not (a reference to) an `I`.
-    fn extract_arg(arg: InArg, ctx: &CallCtx) -> Result<Arc<Self>, RemoteError>;
+    fn extract_arg(arg: &InArg<'_>, ctx: &CallCtx) -> Result<Arc<Self>, RemoteError>;
 }
 
-/// Converts a by-copy argument, rejecting remote objects.
+/// Converts a by-copy argument straight from its borrowed view, rejecting
+/// remote objects.
 ///
 /// # Errors
 ///
 /// `BadArguments` when the argument is a remote object or fails typed
 /// conversion.
-pub fn value_arg<T: FromValue>(arg: InArg) -> Result<T, RemoteError> {
+pub fn value_arg<T: FromValue>(arg: &InArg<'_>) -> Result<T, RemoteError> {
     match arg {
-        InArg::Value(value) => T::from_value(value),
+        InArg::Value(value) => T::from_value_in(value),
         InArg::Remote(_) => Err(RemoteError::new(
             RemoteErrorKind::BadArguments,
             "expected a value argument, got a remote object",
@@ -144,16 +145,17 @@ pub fn wrong_remote_type(expected: &str, got: &str) -> RemoteError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brmi_wire::ValueRef;
 
     #[test]
     fn value_arg_converts() {
-        let n: i32 = value_arg(InArg::Value(Value::I32(5))).unwrap();
+        let n: i32 = value_arg(&InArg::Value(ValueRef::I32(5))).unwrap();
         assert_eq!(n, 5);
     }
 
     #[test]
     fn value_arg_rejects_mismatch() {
-        let err = value_arg::<i32>(InArg::Value(Value::Str("x".into()))).unwrap_err();
+        let err = value_arg::<i32>(&InArg::Value(ValueRef::Str("x"))).unwrap_err();
         assert_eq!(err.kind(), RemoteErrorKind::BadArguments);
     }
 

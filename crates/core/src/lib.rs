@@ -97,7 +97,7 @@ pub mod __rt {
         RemoteRef,
     };
     pub use brmi_wire::{
-        FromValue, InterfaceMeta, MethodMeta, ObjectId, RemoteError, ToValue, Value,
+        FromValue, InterfaceMeta, MethodMeta, ObjectId, RemoteError, ToValue, Value, ValueRef,
     };
     pub use paste::paste;
     pub use std::any::Any;

@@ -304,7 +304,7 @@ macro_rules! remote_interface {
                 fn invoke(
                     &self,
                     __method: &str,
-                    __args: ::std::vec::Vec<$crate::__rt::InArg>,
+                    __args: &[$crate::__rt::InArg<'_>],
                     __ctx: &$crate::__rt::CallCtx,
                 ) -> ::core::result::Result<$crate::__rt::OutValue, $crate::__rt::RemoteError> {
                     $(
@@ -318,7 +318,7 @@ macro_rules! remote_interface {
                                     __args.len(),
                                 ));
                             }
-                            let mut __iter = __args.into_iter();
+                            let mut __iter = __args.iter();
                             $(
                                 let $a = $crate::remote_interface!(
                                     @extract_arg ($at $($aty)*) __iter __ctx
@@ -509,7 +509,7 @@ macro_rules! remote_interface {
                     pub fn $m(&self $(, $a: $crate::remote_interface!(@b_arg_ty $at $($aty)*))*)
                         -> $crate::remote_interface!(@b_ret_ty $($mret)*)
                     {
-                        let __args: ::std::vec::Vec<$crate::RecordArg> = ::std::vec![
+                        let __args: [$crate::RecordArg; $crate::remote_interface!(@count $( ($at) )*)] = [
                             $( $crate::remote_interface!(@b_arg_val ($at $($aty)*) $a) ),*
                         ];
                         $crate::remote_interface!(@b_call ($($mret)*) (self.stub) (stringify!($m)) __args)
@@ -576,7 +576,7 @@ macro_rules! remote_interface {
                     pub fn $m(&self $(, $a: $crate::remote_interface!(@b_arg_ty $at $($aty)*))*)
                         -> $crate::remote_interface!(@b_ret_ty $($mret)*)
                     {
-                        let __args: ::std::vec::Vec<$crate::RecordArg> = ::std::vec![
+                        let __args: [$crate::RecordArg; $crate::remote_interface!(@count $( ($at) )*)] = [
                             $( $crate::remote_interface!(@b_arg_val ($at $($aty)*) $a) ),*
                         ];
                         $crate::remote_interface!(@b_call ($($mret)*) (self.cursor) (stringify!($m)) __args)
@@ -620,7 +620,7 @@ macro_rules! remote_interface {
                 }
 
                 fn extract_arg(
-                    arg: $crate::__rt::InArg,
+                    arg: &$crate::__rt::InArg<'_>,
                     ctx: &$crate::__rt::CallCtx,
                 ) -> ::core::result::Result<$crate::__rt::Arc<Self>, $crate::__rt::RemoteError>
                 {
@@ -638,9 +638,9 @@ macro_rules! remote_interface {
                                 ),
                             }
                         }
-                        $crate::__rt::InArg::Value($crate::__rt::Value::RemoteRef(id)) => {
+                        $crate::__rt::InArg::Value($crate::__rt::ValueRef::RemoteRef(id)) => {
                             ::core::result::Result::Ok($crate::__rt::Arc::new(
-                                [<$I Loopback>]::new(id, $crate::__rt::Arc::clone(&ctx.loopback)),
+                                [<$I Loopback>]::new(*id, $crate::__rt::Arc::clone(&ctx.loopback)),
                             ))
                         }
                         $crate::__rt::InArg::Value(other) => ::core::result::Result::Err(

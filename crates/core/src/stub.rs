@@ -50,8 +50,8 @@ impl BatchStub {
     /// the returned future after `flush`.
     pub fn call_future<T: brmi_wire::FromValue>(
         &self,
-        method: &str,
-        args: Vec<RecordArg>,
+        method: &'static str,
+        args: impl IntoIterator<Item = RecordArg>,
     ) -> BatchFuture<T> {
         let recorded = self.batch.record(Receiver::Stub(self), method, args, false);
         BatchFuture::from_slot(recorded.slot)
@@ -59,7 +59,11 @@ impl BatchStub {
 
     /// Records a call returning a remote object; the result is a new stub
     /// usable later in the same chain.
-    pub fn call_remote(&self, method: &str, args: Vec<RecordArg>) -> BatchStub {
+    pub fn call_remote(
+        &self,
+        method: &'static str,
+        args: impl IntoIterator<Item = RecordArg>,
+    ) -> BatchStub {
         let recorded = self.batch.record(Receiver::Stub(self), method, args, false);
         BatchStub {
             batch: self.batch.clone(),
@@ -72,7 +76,11 @@ impl BatchStub {
 
     /// Records a call returning an array of remote objects, opening a
     /// cursor over it (paper Section 3.4).
-    pub fn call_cursor(&self, method: &str, args: Vec<RecordArg>) -> CursorHandle {
+    pub fn call_cursor(
+        &self,
+        method: &'static str,
+        args: impl IntoIterator<Item = RecordArg>,
+    ) -> CursorHandle {
         let recorded = self.batch.record(Receiver::Stub(self), method, args, true);
         CursorHandle {
             batch: self.batch.clone(),
@@ -131,8 +139,8 @@ impl CursorHandle {
     /// applies to the current element only (paper Section 3.5).
     pub fn call_future<T: brmi_wire::FromValue>(
         &self,
-        method: &str,
-        args: Vec<RecordArg>,
+        method: &'static str,
+        args: impl IntoIterator<Item = RecordArg>,
     ) -> BatchFuture<T> {
         let recorded = self
             .batch
@@ -142,7 +150,11 @@ impl CursorHandle {
 
     /// Records a remote-returning call on the cursor; the resulting stub is
     /// itself per-element (a member of this cursor's sub-batch).
-    pub fn call_remote(&self, method: &str, args: Vec<RecordArg>) -> BatchStub {
+    pub fn call_remote(
+        &self,
+        method: &'static str,
+        args: impl IntoIterator<Item = RecordArg>,
+    ) -> BatchStub {
         let recorded = self
             .batch
             .record(Receiver::Cursor(self), method, args, false);
@@ -158,7 +170,11 @@ impl CursorHandle {
     /// Records an array-returning call on the cursor. Nested cursors are
     /// not supported; the call is recorded as a recording error that
     /// surfaces at `flush` (and on the returned handle's `ok()`).
-    pub fn call_cursor(&self, method: &str, args: Vec<RecordArg>) -> CursorHandle {
+    pub fn call_cursor(
+        &self,
+        method: &'static str,
+        args: impl IntoIterator<Item = RecordArg>,
+    ) -> CursorHandle {
         let recorded = self
             .batch
             .record(Receiver::Cursor(self), method, args, true);

@@ -11,7 +11,7 @@ use brmi_wire::invocation::{
 use brmi_wire::{ObjectId, Value};
 use common::Rig;
 
-fn call(seq: u32, target: Target, method: &str, args: Vec<Arg>) -> InvocationData {
+fn call(seq: u32, target: Target, method: &'static str, args: Vec<Arg>) -> InvocationData {
     InvocationData {
         seq: CallSeq(seq),
         target,

@@ -203,8 +203,8 @@ struct Label {
 impl ToValue for Label {
     fn to_value(&self) -> Value {
         Value::Record(vec![
-            ("text".to_owned(), self.text.to_value()),
-            ("tags".to_owned(), self.tags.to_value()),
+            ("text".into(), self.text.to_value()),
+            ("tags".into(), self.tags.to_value()),
         ])
     }
 }
@@ -311,4 +311,32 @@ fn non_repeating_policy_invokes_once_with_the_arguments() {
     let (result, sent, seen) = labelled_attempts(ContinuePolicy, 0);
     assert_eq!(result.unwrap(), 1);
     assert_identical_attempts(&seen, &sent, 1);
+}
+
+/// `Label` keeps the default `from_value_in` (one owned copy, then
+/// `from_value`): on the owned value and on its borrowed view it agrees
+/// with `from_value` on a copy — the same label, or errors of the same
+/// kind.
+#[test]
+fn label_conversions_agree_borrowed_and_owned() {
+    let label = Label {
+        text: "t".into(),
+        tags: vec!["a".into()],
+    };
+    let values = [
+        label.to_value(),
+        Value::Record(vec![
+            ("text".into(), Value::I32(1)),
+            ("tags".into(), Value::Null),
+        ]),
+        Value::Record(vec![("text".into(), Value::Str("only".into()))]),
+        Value::Str("not a record".into()),
+    ];
+    for value in &values {
+        let kind = |r: Result<Label, RemoteError>| r.map_err(|e| e.kind());
+        let taken = kind(Label::from_value(value.clone()));
+        assert_eq!(kind(Label::from_value_in(value)), taken);
+        assert_eq!(kind(Label::from_value_in(&value.to_ref())), taken);
+    }
+    assert_eq!(Label::from_value_in(&values[0]).unwrap(), label);
 }

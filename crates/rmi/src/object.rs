@@ -9,25 +9,32 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use brmi_wire::{MethodMeta, RemoteError, RemoteErrorKind, Value};
+use brmi_wire::{MethodMeta, RemoteError, RemoteErrorKind, Value, ValueRef};
 
 /// An argument as delivered to a skeleton.
 ///
 /// Plain RMI calls deliver every argument as [`InArg::Value`]; remote
-/// references stay as [`Value::RemoteRef`] and the skeleton turns them into
-/// loopback proxies — Java RMI's behaviour of marshalling a stub as itself
-/// even when it returns home (paper Section 4.4). The batch executor instead
-/// resolves references to earlier batch results *before* dispatch and
-/// delivers [`InArg::Remote`], preserving object identity.
+/// references stay as [`ValueRef::RemoteRef`] and the skeleton turns them
+/// into loopback proxies — Java RMI's behaviour of marshalling a stub as
+/// itself even when it returns home (paper Section 4.4). The batch executor
+/// instead resolves references to earlier batch results *before* dispatch
+/// and delivers [`InArg::Remote`], preserving object identity.
+///
+/// A value argument is the borrowed view the request decode already built:
+/// its payloads are slices of the frame, and the skeleton converts it
+/// straight to the parameter's Rust type with
+/// [`FromValue::from_value_in`](brmi_wire::FromValue::from_value_in), so
+/// each payload is copied at most once, into the argument itself.
 #[derive(Clone)]
-pub enum InArg {
-    /// A marshalled value (possibly a remote reference id).
-    Value(Value),
+pub enum InArg<'a> {
+    /// A marshalled value (possibly a remote reference id), borrowed from
+    /// the request frame.
+    Value(ValueRef<'a>),
     /// A server-local object, already resolved by the batch executor.
     Remote(Arc<dyn RemoteObject>),
 }
 
-impl std::fmt::Debug for InArg {
+impl std::fmt::Debug for InArg<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             InArg::Value(v) => f.debug_tuple("Value").field(v).finish(),
@@ -114,7 +121,8 @@ pub trait RemoteObject: Send + Sync + 'static {
     /// The interface this object implements, for diagnostics.
     fn interface_name(&self) -> &'static str;
 
-    /// Dispatches one call.
+    /// Dispatches one call. The arguments are only borrowed, so a caller
+    /// may invoke again with the same slice (the batch executor's `Repeat`).
     ///
     /// # Errors
     ///
@@ -124,7 +132,7 @@ pub trait RemoteObject: Send + Sync + 'static {
     fn invoke(
         &self,
         method: &str,
-        args: Vec<InArg>,
+        args: &[InArg<'_>],
         ctx: &CallCtx,
     ) -> Result<OutValue, RemoteError>;
 
@@ -178,7 +186,7 @@ mod tests {
         fn invoke(
             &self,
             method: &str,
-            _args: Vec<InArg>,
+            _args: &[InArg<'_>],
             _ctx: &CallCtx,
         ) -> Result<OutValue, RemoteError> {
             Err(no_such_method("dummy", method))
@@ -201,7 +209,7 @@ mod tests {
 
     #[test]
     fn debug_impls_are_nonempty() {
-        let arg = InArg::Value(Value::I32(1));
+        let arg = InArg::Value(ValueRef::I32(1));
         assert!(!format!("{arg:?}").is_empty());
         let remote = InArg::Remote(Arc::new(Dummy));
         assert!(format!("{remote:?}").contains("dummy"));
@@ -209,6 +217,6 @@ mod tests {
         assert!(format!("{out:?}").contains("1"));
         let _ = format!("{:?}", OutValue::Data(Value::Null));
         let _ = format!("{:?}", OutValue::Remote(Arc::new(Dummy)));
-        let _ = InArg::Value(Value::RemoteRef(ObjectId(1))).clone();
+        let _ = InArg::Value(ValueRef::RemoteRef(ObjectId(1))).clone();
     }
 }

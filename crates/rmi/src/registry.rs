@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use brmi_wire::protocol::registry_methods;
-use brmi_wire::{ObjectId, RemoteError, RemoteErrorKind, Value};
+use brmi_wire::{ObjectId, RemoteError, RemoteErrorKind, Value, ValueRef};
 use parking_lot::RwLock;
 
 use crate::journal::{JournalCell, JournalRecord};
@@ -115,9 +115,9 @@ fn not_bound(name: &str) -> RemoteError {
     RemoteError::new(RemoteErrorKind::NotBound, format!("name not bound: {name}"))
 }
 
-fn str_arg(args: &mut [InArg], method: &str, index: usize) -> Result<String, RemoteError> {
-    match args.get_mut(index) {
-        Some(InArg::Value(Value::Str(s))) => Ok(std::mem::take(s)),
+fn str_arg<'a>(args: &[InArg<'a>], method: &str, index: usize) -> Result<&'a str, RemoteError> {
+    match args.get(index) {
+        Some(InArg::Value(ValueRef::Str(s))) => Ok(*s),
         _ => Err(RemoteError::new(
             RemoteErrorKind::BadArguments,
             format!("registry method {method} expects a string at position {index}"),
@@ -125,9 +125,9 @@ fn str_arg(args: &mut [InArg], method: &str, index: usize) -> Result<String, Rem
     }
 }
 
-fn ref_arg(args: &[InArg], method: &str, index: usize) -> Result<ObjectId, RemoteError> {
+fn ref_arg(args: &[InArg<'_>], method: &str, index: usize) -> Result<ObjectId, RemoteError> {
     match args.get(index) {
-        Some(InArg::Value(Value::RemoteRef(id))) => Ok(*id),
+        Some(InArg::Value(ValueRef::RemoteRef(id))) => Ok(*id),
         _ => Err(RemoteError::new(
             RemoteErrorKind::BadArguments,
             format!("registry method {method} expects a remote reference at position {index}"),
@@ -143,7 +143,7 @@ impl RemoteObject for RegistryObject {
     fn invoke(
         &self,
         method: &str,
-        mut args: Vec<InArg>,
+        args: &[InArg<'_>],
         _ctx: &CallCtx,
     ) -> Result<OutValue, RemoteError> {
         match method {
@@ -151,33 +151,33 @@ impl RemoteObject for RegistryObject {
                 if args.len() != 1 {
                     return Err(bad_arity(method, 1, args.len()));
                 }
-                let name = str_arg(&mut args, method, 0)?;
-                Ok(OutValue::Data(Value::RemoteRef(self.lookup(&name)?)))
+                let name = str_arg(args, method, 0)?;
+                Ok(OutValue::Data(Value::RemoteRef(self.lookup(name)?)))
             }
             registry_methods::BIND => {
                 if args.len() != 2 {
                     return Err(bad_arity(method, 2, args.len()));
                 }
-                let id = ref_arg(&args, method, 1)?;
-                let name = str_arg(&mut args, method, 0)?;
-                self.bind(&name, id)?;
+                let id = ref_arg(args, method, 1)?;
+                let name = str_arg(args, method, 0)?;
+                self.bind(name, id)?;
                 Ok(OutValue::Data(Value::Null))
             }
             registry_methods::REBIND => {
                 if args.len() != 2 {
                     return Err(bad_arity(method, 2, args.len()));
                 }
-                let id = ref_arg(&args, method, 1)?;
-                let name = str_arg(&mut args, method, 0)?;
-                self.rebind(&name, id);
+                let id = ref_arg(args, method, 1)?;
+                let name = str_arg(args, method, 0)?;
+                self.rebind(name, id);
                 Ok(OutValue::Data(Value::Null))
             }
             registry_methods::UNBIND => {
                 if args.len() != 1 {
                     return Err(bad_arity(method, 1, args.len()));
                 }
-                let name = str_arg(&mut args, method, 0)?;
-                self.unbind(&name)?;
+                let name = str_arg(args, method, 0)?;
+                self.unbind(name)?;
                 Ok(OutValue::Data(Value::Null))
             }
             registry_methods::LIST => {
@@ -218,7 +218,7 @@ mod tests {
     fn ctx_call(
         registry: &RegistryObject,
         method: &str,
-        args: Vec<InArg>,
+        args: &[InArg<'_>],
     ) -> Result<OutValue, RemoteError> {
         registry.invoke(
             method,
@@ -284,7 +284,7 @@ mod tests {
         let out = ctx_call(
             &registry,
             registry_methods::LOOKUP,
-            vec![InArg::Value(Value::Str("svc".into()))],
+            &[InArg::Value(ValueRef::Str("svc"))],
         )
         .unwrap();
         match out {
@@ -299,13 +299,13 @@ mod tests {
         ctx_call(
             &registry,
             registry_methods::BIND,
-            vec![
-                InArg::Value(Value::Str("a".into())),
-                InArg::Value(Value::RemoteRef(ObjectId(3))),
+            &[
+                InArg::Value(ValueRef::Str("a")),
+                InArg::Value(ValueRef::RemoteRef(ObjectId(3))),
             ],
         )
         .unwrap();
-        let out = ctx_call(&registry, registry_methods::LIST, vec![]).unwrap();
+        let out = ctx_call(&registry, registry_methods::LIST, &[]).unwrap();
         match out {
             OutValue::Data(Value::List(items)) => {
                 assert_eq!(items, vec![Value::Str("a".into())]);
@@ -315,7 +315,7 @@ mod tests {
         ctx_call(
             &registry,
             registry_methods::UNBIND,
-            vec![InArg::Value(Value::Str("a".into()))],
+            &[InArg::Value(ValueRef::Str("a"))],
         )
         .unwrap();
         assert!(registry.list().is_empty());
@@ -324,16 +324,16 @@ mod tests {
     #[test]
     fn invoke_rejects_bad_arity_and_types() {
         let registry = RegistryObject::new();
-        let err = ctx_call(&registry, registry_methods::LOOKUP, vec![]).unwrap_err();
+        let err = ctx_call(&registry, registry_methods::LOOKUP, &[]).unwrap_err();
         assert_eq!(err.kind(), RemoteErrorKind::BadArguments);
         let err = ctx_call(
             &registry,
             registry_methods::LOOKUP,
-            vec![InArg::Value(Value::I32(3))],
+            &[InArg::Value(ValueRef::I32(3))],
         )
         .unwrap_err();
         assert_eq!(err.kind(), RemoteErrorKind::BadArguments);
-        let err = ctx_call(&registry, "bogus", vec![]).unwrap_err();
+        let err = ctx_call(&registry, "bogus", &[]).unwrap_err();
         assert_eq!(err.kind(), RemoteErrorKind::NoSuchMethod);
     }
 }

@@ -21,7 +21,7 @@ use brmi_transport::RequestHandler;
 use brmi_wire::codec::WireCodec;
 use brmi_wire::invocation::{BatchRequestRef, BatchResponse, ErrorEnvelope, SessionId};
 use brmi_wire::protocol::{BatchCallRef, Frame, FrameRef, IdemKey};
-use brmi_wire::{ObjectId, RemoteError, RemoteErrorKind, ToValue, Value, ValueRef};
+use brmi_wire::{ObjectId, RemoteError, RemoteErrorKind, Value, ValueRef};
 use parking_lot::RwLock;
 
 use crate::dgc::{DgcConfig, DgcServer};
@@ -241,12 +241,12 @@ impl RmiServer {
         method: &str,
         args: Vec<Value>,
     ) -> Result<Value, RemoteError> {
-        self.dispatch_in_args(target, method, args.into_iter().map(InArg::Value).collect())
+        self.dispatch_call_ref(target, method, args.iter().map(Value::to_ref).collect())
     }
 
     /// As [`RmiServer::dispatch_call`], for arguments decoded as borrowed
-    /// views. Each argument becomes an owned [`Value`] only here, at the
-    /// application boundary — the decode itself copied nothing.
+    /// views. The skeleton converts each view straight to its parameter
+    /// type, so no owned [`Value`] is built for an argument.
     ///
     /// # Errors
     ///
@@ -255,22 +255,7 @@ impl RmiServer {
         &self,
         target: ObjectId,
         method: &str,
-        args: &[ValueRef<'_>],
-    ) -> Result<Value, RemoteError> {
-        let in_args = args
-            .iter()
-            .map(|arg| InArg::Value(arg.to_value()))
-            .collect();
-        self.dispatch_in_args(target, method, in_args)
-    }
-
-    /// The shared tail of both dispatch entry points: lookup, invoke,
-    /// marshal.
-    fn dispatch_in_args(
-        &self,
-        target: ObjectId,
-        method: &str,
-        in_args: Vec<InArg>,
+        args: Vec<ValueRef<'_>>,
     ) -> Result<Value, RemoteError> {
         let object = self.table.get(target).ok_or_else(|| {
             RemoteError::new(
@@ -278,7 +263,8 @@ impl RmiServer {
                 format!("no exported object {target}"),
             )
         })?;
-        let out = object.invoke(method, in_args, &self.call_ctx())?;
+        let in_args: Vec<InArg<'_>> = args.into_iter().map(InArg::Value).collect();
+        let out = object.invoke(method, &in_args, &self.call_ctx())?;
         Ok(self.marshal_out(out))
     }
 
@@ -328,7 +314,7 @@ impl RmiServer {
                 args,
                 ..
             } => reply_frame(
-                self.dispatch_call_ref(target, method, &args)
+                self.dispatch_call_ref(target, method, args)
                     .map(Frame::Return),
             ),
             FrameRef::BatchCall(call) => {
@@ -730,7 +716,7 @@ mod tests {
         fn invoke(
             &self,
             method: &str,
-            args: Vec<InArg>,
+            args: &[InArg<'_>],
             _ctx: &CallCtx,
         ) -> Result<OutValue, RemoteError> {
             match method {
@@ -738,8 +724,8 @@ mod tests {
                     let n = self.hits.fetch_add(1, Ordering::Relaxed) + 1;
                     Ok(OutValue::Data(Value::I64(n as i64)))
                 }
-                "echo" => match args.into_iter().next() {
-                    Some(InArg::Value(v)) => Ok(OutValue::Data(v)),
+                "echo" => match args.first() {
+                    Some(InArg::Value(v)) => Ok(OutValue::Data(v.to_owned_value())),
                     _ => Err(RemoteError::new(RemoteErrorKind::BadArguments, "echo")),
                 },
                 "fail" => Err(RemoteError::application("TestError", "requested")),

@@ -127,7 +127,7 @@ mod tests {
         fn invoke(
             &self,
             method: &str,
-            _args: Vec<InArg>,
+            _args: &[InArg<'_>],
             _ctx: &CallCtx,
         ) -> Result<OutValue, RemoteError> {
             Err(no_such_method(self.0, method))

@@ -29,7 +29,7 @@ mod support {
         fn invoke(
             &self,
             method: &str,
-            _args: Vec<InArg>,
+            _args: &[InArg<'_>],
             _ctx: &CallCtx,
         ) -> Result<OutValue, RemoteError> {
             match method {

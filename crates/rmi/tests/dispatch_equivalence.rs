@@ -33,7 +33,7 @@ impl RemoteObject for Counter {
     fn invoke(
         &self,
         method: &str,
-        _args: Vec<InArg>,
+        _args: &[InArg<'_>],
         _ctx: &CallCtx,
     ) -> Result<OutValue, RemoteError> {
         match method {

@@ -24,7 +24,7 @@ impl RemoteObject for Spawner {
     fn invoke(
         &self,
         method: &str,
-        _args: Vec<InArg>,
+        _args: &[InArg<'_>],
         _ctx: &CallCtx,
     ) -> Result<OutValue, RemoteError> {
         match method {

@@ -22,7 +22,7 @@ impl RemoteObject for Echo {
     fn invoke(
         &self,
         method: &str,
-        _args: Vec<InArg>,
+        _args: &[InArg<'_>],
         _ctx: &CallCtx,
     ) -> Result<OutValue, RemoteError> {
         match method {

@@ -290,7 +290,7 @@ enum Plan {
 struct ProbeCall {
     key: Vec<u8>,
     object: ObjectId,
-    method: String,
+    method: std::borrow::Cow<'static, str>,
     args: Vec<brmi_wire::invocation::Arg>,
     slot: Arc<Inflight>,
 }
@@ -815,7 +815,7 @@ mod tests {
                 .iter()
                 .map(|call| {
                     self.executed.fetch_add(1, Ordering::Relaxed);
-                    let outcome = match call.method.as_str() {
+                    let outcome = match call.method.as_ref() {
                         "get" => {
                             let base = self.puts.load(Ordering::Relaxed) as i64;
                             if let Some(gate) = &self.gate {

@@ -122,7 +122,7 @@ impl CallLabel {
         let batch_method = |request: &brmi_wire::invocation::BatchRequest| {
             let first = request.calls.first()?;
             Some(if request.calls.len() == 1 {
-                first.method.clone()
+                first.method.to_string()
             } else {
                 format!("{} (+{} more)", first.method, request.calls.len() - 1)
             })
@@ -828,7 +828,7 @@ mod tests {
             method: method.into(),
             args: vec![],
         };
-        let batch_of = |method: &str| BatchCall {
+        let batch_of = |method: &'static str| BatchCall {
             key: None,
             request: brmi_wire::invocation::BatchRequest {
                 session: None,

@@ -8,7 +8,7 @@
 //! point of amortizing round trips is moot if the server can only hold a
 //! few of them open). This module is the crate's one TCP server: a
 //! hand-rolled epoll event loop — raw `extern "C"` syscall declarations in
-//! [`sys`], no external runtime — driving nonblocking sockets, so a fixed
+//! the private `sys` module, no external runtime — driving nonblocking sockets, so a fixed
 //! set of reactor threads serves any number of connections.
 //!
 //! ```text
@@ -58,7 +58,7 @@
 //! owning reactor thread through its wake channel and queued **in request
 //! order per connection** (a reorder buffer holds replies that finish
 //! early), so pipelined peers observe exactly the inline semantics. Queued
-//! work counts toward the same [`HIGH_WATER`] backpressure as reply bytes —
+//! work counts toward the same `HIGH_WATER` backpressure as reply bytes —
 //! a connection with a full pipeline parked in the pool stops being read —
 //! and shutdown drains the pool: queued jobs finish before the workers
 //! join. Handlers may execute concurrently, including two frames of one
@@ -67,14 +67,14 @@
 //! regardless.
 //!
 //! Requests may arrive in a correlation envelope (the length prefix's
-//! [`MUX_FLAG`] bit plus an 8-byte id — see [`crate::mux::MuxClient`]); the
+//! `MUX_FLAG` bit plus an 8-byte id — see [`crate::mux::MuxClient`]); the
 //! reactor echoes the id on the reply so any number of concurrent callers
 //! can share one socket. The listener is registered `EPOLLEXCLUSIVE`, so a
 //! new connection wakes one reactor thread, not the whole fleet (no accept
 //! thundering herd).
 //!
 //! Backpressure: when a connection's `out_buf` backlog exceeds
-//! [`HIGH_WATER`], frame dispatch pauses *and* `EPOLLIN` interest is
+//! `HIGH_WATER`, frame dispatch pauses *and* `EPOLLIN` interest is
 //! dropped, so a peer that streams requests without reading replies is
 //! bounded per connection (roughly `HIGH_WATER` plus one maximum frame
 //! each way — the excess queues in the kernel socket buffer, where TCP

@@ -10,12 +10,26 @@
 //! * strings / byte blobs — varint length prefix, then raw bytes;
 //! * compound values — a one-byte tag, then fields in order.
 
+use std::borrow::Cow;
+
 use crate::error::WireError;
 use crate::value::{Borrowed, Owned, Repr};
 
 /// Upper bound on any declared length, to stop hostile frames from causing
 /// huge allocations.
 pub const MAX_LENGTH: u64 = 64 * 1024 * 1024;
+
+/// Upper bound on how deeply `List` and `Record` values may nest in one
+/// decode. The value decoder recurses once per level, and a frame of up to
+/// 64 MiB could otherwise declare millions of levels: running out of stack
+/// aborts the whole process, so a hostile peer could take down every
+/// connection with one frame. Past this depth decoding fails with
+/// [`WireError::TooDeep`] instead.
+///
+/// The deepest value any in-tree application or test builds nests 4 levels
+/// (the property tests' recursive value strategy); 64 leaves a wide margin
+/// and costs well under a page of stack per level.
+pub const MAX_DEPTH: usize = 64;
 
 /// How the codec writes integers (lengths, ids, signed values).
 ///
@@ -154,16 +168,14 @@ pub struct Decoder<'a> {
     input: &'a [u8],
     pos: usize,
     width: IntWidth,
+    /// `List`/`Record` levels currently open, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder reading from `input`.
     pub fn new(input: &'a [u8]) -> Self {
-        Decoder {
-            input,
-            pos: 0,
-            width: IntWidth::Varint,
-        }
+        Decoder::with_width(input, IntWidth::Varint)
     }
 
     /// Creates a decoder reading integers at the given width.
@@ -172,6 +184,7 @@ impl<'a> Decoder<'a> {
             input,
             pos: 0,
             width,
+            depth: 0,
         }
     }
 
@@ -321,6 +334,26 @@ impl<'a> Decoder<'a> {
         Ok(items)
     }
 
+    /// Opens one `List`/`Record` level, failing with
+    /// [`WireError::TooDeep`] once [`MAX_DEPTH`] levels are open. A
+    /// decode that fails leaves its levels open; no decode resumes after
+    /// an error, so the count never matters again. (A closure-taking
+    /// `nested` helper measured ~7 % slower on the owned reply decode.)
+    #[inline]
+    pub(crate) fn enter(&mut self) -> Result<(), WireError> {
+        if self.depth == MAX_DEPTH {
+            return Err(WireError::TooDeep { limit: MAX_DEPTH });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Closes the level the matching [`Decoder::enter`] opened.
+    #[inline]
+    pub(crate) fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
     /// Reads an optional field: a `0` byte for `None`, or a `1` byte and
     /// then the `item`.
     #[inline]
@@ -366,6 +399,9 @@ pub trait DecodeRepr<'de>: Repr {
 
     /// Reads a length-prefixed byte blob.
     fn take_bytes(dec: &mut Decoder<'de>, context: &'static str) -> Result<Self::Bytes, WireError>;
+
+    /// Reads a length-prefixed name (a record field or a method name).
+    fn take_name(dec: &mut Decoder<'de>, context: &'static str) -> Result<Self::Name, WireError>;
 }
 
 impl<'de> DecodeRepr<'de> for Owned {
@@ -376,6 +412,13 @@ impl<'de> DecodeRepr<'de> for Owned {
     fn take_bytes(dec: &mut Decoder<'de>, context: &'static str) -> Result<Vec<u8>, WireError> {
         dec.take_bytes(context)
     }
+
+    fn take_name(
+        dec: &mut Decoder<'de>,
+        context: &'static str,
+    ) -> Result<Cow<'static, str>, WireError> {
+        dec.take_str(context).map(Cow::Owned)
+    }
 }
 
 impl<'de> DecodeRepr<'de> for Borrowed<'de> {
@@ -385,6 +428,10 @@ impl<'de> DecodeRepr<'de> for Borrowed<'de> {
 
     fn take_bytes(dec: &mut Decoder<'de>, context: &'static str) -> Result<&'de [u8], WireError> {
         dec.take_bytes_ref(context)
+    }
+
+    fn take_name(dec: &mut Decoder<'de>, context: &'static str) -> Result<&'de str, WireError> {
+        dec.take_str_ref(context)
     }
 }
 
@@ -553,10 +600,20 @@ mod value_codec {
                 TAG_STR => ValueIn::Str(R::take_str(dec, CTX)?),
                 TAG_BYTES => ValueIn::Bytes(R::take_bytes(dec, CTX)?),
                 TAG_DATE => ValueIn::Date(dec.take_signed(CTX)?),
-                TAG_LIST => ValueIn::List(dec.take_vec(CTX, ValueIn::decode)?),
-                TAG_RECORD => ValueIn::Record(dec.take_vec(CTX, |dec| {
-                    Ok((R::take_str(dec, CTX)?, ValueIn::decode(dec)?))
-                })?),
+                TAG_LIST => {
+                    dec.enter()?;
+                    let items = dec.take_vec(CTX, ValueIn::decode)?;
+                    dec.leave();
+                    ValueIn::List(items)
+                }
+                TAG_RECORD => {
+                    dec.enter()?;
+                    let fields = dec.take_vec(CTX, |dec| {
+                        Ok((R::take_name(dec, CTX)?, ValueIn::decode(dec)?))
+                    })?;
+                    dec.leave();
+                    ValueIn::Record(fields)
+                }
                 TAG_REMOTE => ValueIn::RemoteRef(ObjectId(dec.take_varint(CTX)?)),
                 tag => return Err(WireError::UnknownTag { context: CTX, tag }),
             })
@@ -583,7 +640,7 @@ mod value_codec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ObjectId, Value};
+    use crate::value::{ObjectId, Value, ValueRef};
 
     fn round_trip(v: &Value) -> Value {
         Value::from_wire_bytes(&v.to_wire_bytes()).expect("round trip")
@@ -712,6 +769,69 @@ mod tests {
         enc.put_varint(MAX_LENGTH + 1);
         let err = Value::from_wire_bytes(&enc.into_bytes()).unwrap_err();
         assert!(matches!(err, WireError::LengthLimitExceeded { .. }));
+    }
+
+    /// `depth` lists nested in each other around a `Null`: `08 01` per
+    /// level, then `00`.
+    fn nested_lists(depth: usize) -> Vec<u8> {
+        let mut bytes = [8u8, 1].repeat(depth);
+        bytes.push(0);
+        bytes
+    }
+
+    /// `depth` single-field records nested in each other around a `Null`.
+    fn nested_records(depth: usize) -> Vec<u8> {
+        let mut bytes = [9u8, 1, 1, b'f'].repeat(depth);
+        bytes.push(0);
+        bytes
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        for nested in [nested_lists, nested_records] {
+            for depth in [MAX_DEPTH - 1, MAX_DEPTH] {
+                let bytes = nested(depth);
+                let owned = Value::from_wire_bytes(&bytes).unwrap();
+                assert_eq!(owned.to_wire_bytes(), bytes);
+                assert_eq!(
+                    ValueRef::from_wire_bytes(&bytes).unwrap().into_owned(),
+                    owned
+                );
+            }
+            let too_deep = nested(MAX_DEPTH + 1);
+            let refused = WireError::TooDeep { limit: MAX_DEPTH };
+            assert_eq!(Value::from_wire_bytes(&too_deep).unwrap_err(), refused);
+            assert_eq!(ValueRef::from_wire_bytes(&too_deep).unwrap_err(), refused);
+        }
+    }
+
+    #[test]
+    fn sibling_values_do_not_add_up_to_the_depth() {
+        let deep = Value::from_wire_bytes(&nested_lists(MAX_DEPTH)).unwrap();
+        let wide = Value::List(vec![deep.clone(), deep]);
+        let bytes = Value::List(vec![wide.clone(), wide]).to_wire_bytes();
+        // Two levels above a MAX_DEPTH-deep value is too deep; the siblings
+        // alone are not.
+        assert_eq!(
+            Value::from_wire_bytes(&bytes).unwrap_err(),
+            WireError::TooDeep { limit: MAX_DEPTH }
+        );
+        let shallow = Value::from_wire_bytes(&nested_lists(MAX_DEPTH - 1)).unwrap();
+        let siblings = Value::List(vec![shallow; 3]);
+        assert_eq!(round_trip(&siblings), siblings);
+    }
+
+    #[test]
+    fn hostile_deep_list_is_refused_not_a_stack_overflow() {
+        let bytes = nested_lists(100_000);
+        assert!(matches!(
+            ValueRef::from_wire_bytes(&bytes).unwrap_err(),
+            WireError::TooDeep { .. }
+        ));
+        assert!(matches!(
+            Value::from_wire_bytes(&bytes).unwrap_err(),
+            WireError::TooDeep { .. }
+        ));
     }
 
     #[test]

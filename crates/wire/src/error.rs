@@ -37,6 +37,12 @@ pub enum WireError {
         /// The maximum allowed.
         limit: u64,
     },
+    /// `List`/`Record` values nested deeper than the decoder's limit
+    /// ([`MAX_DEPTH`](crate::codec::MAX_DEPTH)).
+    TooDeep {
+        /// The maximum nesting depth allowed.
+        limit: usize,
+    },
     /// Trailing bytes remained after a complete item was decoded.
     TrailingBytes {
         /// Number of unconsumed bytes.
@@ -57,6 +63,9 @@ impl fmt::Display for WireError {
             WireError::InvalidUtf8 => write!(f, "string field is not valid utf-8"),
             WireError::LengthLimitExceeded { declared, limit } => {
                 write!(f, "declared length {declared} exceeds limit {limit}")
+            }
+            WireError::TooDeep { limit } => {
+                write!(f, "value nests deeper than the limit of {limit} levels")
             }
             WireError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after decoded item")
@@ -305,6 +314,7 @@ mod tests {
                 limit: 5,
             }
             .to_string(),
+            WireError::TooDeep { limit: 64 }.to_string(),
             WireError::TrailingBytes { remaining: 3 }.to_string(),
         ];
         for msg in msgs {

@@ -78,7 +78,7 @@ pub struct InvocationDataIn<R: Repr> {
     /// The receiver.
     pub target: Target,
     /// Method name, as generated by the interface tool.
-    pub method: R::Str,
+    pub method: R::Name,
     /// Arguments in positional order.
     pub args: Vec<ArgIn<R>>,
     /// When set, this call belongs to the sub-batch of the cursor created by
@@ -196,7 +196,7 @@ impl InvocationDataRef<'_> {
         InvocationData {
             seq: self.seq,
             target: self.target,
-            method: self.method.to_owned(),
+            method: self.method.to_owned().into(),
             args: self.args.into_iter().map(ArgRef::into_owned).collect(),
             cursor: self.cursor,
             opens_cursor: self.opens_cursor,
@@ -241,8 +241,9 @@ pub type BatchRequest = BatchRequestIn<Owned>;
 /// zero-copy form of [`BatchRequest`].
 ///
 /// Method names and `Str`/`Bytes` argument payloads are slices into the
-/// frame buffer the request was decoded from; the executor converts each
-/// argument to an owned [`Value`] only when it hands it to the application.
+/// frame buffer the request was decoded from; the executor hands each
+/// argument to the application as this view, and the application copies
+/// out of it only what it keeps.
 /// The policy is decoded owned — it is per batch, not per call, so its
 /// strings are off the hot path.
 pub type BatchRequestRef<'a> = BatchRequestIn<Borrowed<'a>>;
@@ -471,7 +472,7 @@ impl<R: Repr> InvocationDataIn<R> {
         Ok(InvocationDataIn {
             seq: CallSeq::decode(dec)?,
             target: Target::decode(dec)?,
-            method: R::take_str(dec, CTX)?,
+            method: R::take_name(dec, CTX)?,
             args: dec.take_vec(CTX, ArgIn::decode)?,
             cursor: dec.take_option(CTX, CallSeq::decode)?,
             opens_cursor: dec.take_bool(CTX)?,

@@ -6,6 +6,7 @@
 //! passed by copy, matching RMI's split between `Remote` and `Serializable`
 //! parameters.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -37,10 +38,15 @@ impl fmt::Display for ObjectId {
 /// The payload bounds let every form derive `Debug`, `Clone` and
 /// `PartialEq`.
 pub trait Repr {
-    /// A UTF-8 string payload (values, record field names, method names).
+    /// A UTF-8 string payload (`Str` values).
     type Str: AsRef<str> + Clone + fmt::Debug + PartialEq;
     /// An opaque byte payload.
     type Bytes: AsRef<[u8]> + Clone + fmt::Debug + PartialEq;
+    /// A name: a record field name or a method name. Owned names are a
+    /// `Cow<'static, str>`, so a name known at compile time (`"text"`, a
+    /// `stringify!`d method) is stored without a heap copy; names decoded
+    /// from a frame are `Cow::Owned`. Both encode the same bytes.
+    type Name: AsRef<str> + Clone + fmt::Debug + PartialEq;
 }
 
 /// Owned storage: payloads live in `String` and `Vec<u8>`.
@@ -55,11 +61,13 @@ pub struct Borrowed<'a>(PhantomData<&'a [u8]>);
 impl Repr for Owned {
     type Str = String;
     type Bytes = Vec<u8>;
+    type Name = Cow<'static, str>;
 }
 
 impl<'a> Repr for Borrowed<'a> {
     type Str = &'a str;
     type Bytes = &'a [u8];
+    type Name = &'a str;
 }
 
 /// A wire-transmissible value, over payload storage `R`.
@@ -89,7 +97,7 @@ pub enum ValueIn<R: Repr> {
     /// An ordered list of values.
     List(Vec<ValueIn<R>>),
     /// A record: ordered field name/value pairs (a struct by copy).
-    Record(Vec<(R::Str, ValueIn<R>)>),
+    Record(Vec<(R::Name, ValueIn<R>)>),
     /// A reference to a remote object exported by the peer.
     RemoteRef(ObjectId),
 }
@@ -103,33 +111,60 @@ pub type Value = ValueIn<Owned>;
 /// Decoding an owned [`Value`] copies every `Str`/`Bytes` payload (and every
 /// record field name) out of the frame. On the server dispatch path those
 /// copies are pure overhead — the frame buffer outlives dispatch — so the
-/// hot path decodes a `ValueRef` instead and converts to an owned [`Value`]
-/// only at the application boundary (see [`ToValue::to_value`], which
-/// `ValueRef` implements). Both forms share one decoder, [`ValueIn::decode`].
+/// hot path decodes a `ValueRef` and hands it to the application as is:
+/// each argument converts straight to its Rust type with
+/// [`FromValue::from_value_in`], copying only what that type keeps. Both
+/// forms share one decoder, [`ValueIn::decode`].
 ///
 /// Lifetime contract: a `ValueRef<'a>` borrows the byte buffer it was
 /// decoded from and must not outlive it. Keep the frame buffer alive for
 /// the whole dispatch, then let both go together.
 pub type ValueRef<'a> = ValueIn<Borrowed<'a>>;
 
-impl Value {
+impl<R: Repr> ValueIn<R> {
     /// A short name for the value's variant, used in conversion errors.
     pub fn type_name(&self) -> &'static str {
         match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::I32(_) => "i32",
-            Value::I64(_) => "i64",
-            Value::F64(_) => "f64",
-            Value::Str(_) => "string",
-            Value::Bytes(_) => "bytes",
-            Value::Date(_) => "date",
-            Value::List(_) => "list",
-            Value::Record(_) => "record",
-            Value::RemoteRef(_) => "remote-ref",
+            ValueIn::Null => "null",
+            ValueIn::Bool(_) => "bool",
+            ValueIn::I32(_) => "i32",
+            ValueIn::I64(_) => "i64",
+            ValueIn::F64(_) => "f64",
+            ValueIn::Str(_) => "string",
+            ValueIn::Bytes(_) => "bytes",
+            ValueIn::Date(_) => "date",
+            ValueIn::List(_) => "list",
+            ValueIn::Record(_) => "record",
+            ValueIn::RemoteRef(_) => "remote-ref",
         }
     }
 
+    /// A deep owned copy of this value, whatever its storage.
+    pub fn to_owned_value(&self) -> Value {
+        match self {
+            ValueIn::Null => Value::Null,
+            ValueIn::Bool(b) => Value::Bool(*b),
+            ValueIn::I32(n) => Value::I32(*n),
+            ValueIn::I64(n) => Value::I64(*n),
+            ValueIn::F64(x) => Value::F64(*x),
+            ValueIn::Str(s) => Value::Str(s.as_ref().to_owned()),
+            ValueIn::Bytes(b) => Value::Bytes(b.as_ref().to_vec()),
+            ValueIn::Date(ms) => Value::Date(*ms),
+            ValueIn::List(items) => Value::List(items.iter().map(Self::to_owned_value).collect()),
+            ValueIn::Record(fields) => Value::Record(
+                fields
+                    .iter()
+                    .map(|(name, value)| {
+                        (Cow::Owned(name.as_ref().to_owned()), value.to_owned_value())
+                    })
+                    .collect(),
+            ),
+            ValueIn::RemoteRef(id) => Value::RemoteRef(*id),
+        }
+    }
+}
+
+impl Value {
     /// Counts the remote references contained in this value, recursively.
     ///
     /// The simulated network charges a per-reference marshalling cost, which
@@ -145,7 +180,7 @@ impl Value {
     }
 
     /// Returns the contained record fields, or a conversion error.
-    pub fn into_record(self) -> Result<Vec<(String, Value)>, RemoteError> {
+    pub fn into_record(self) -> Result<Vec<(Cow<'static, str>, Value)>, RemoteError> {
         match self {
             Value::Record(fields) => Ok(fields),
             other => Err(conversion_error("record", &other)),
@@ -163,33 +198,9 @@ impl Value {
 
 impl ValueRef<'_> {
     /// Converts the borrowed view into an owned [`Value`], copying the
-    /// borrowed payloads. This is the single copy the application boundary
-    /// pays; the decode itself paid none.
+    /// borrowed payloads.
     pub fn into_owned(self) -> Value {
-        self.to_value()
-    }
-}
-
-impl ToValue for ValueRef<'_> {
-    fn to_value(&self) -> Value {
-        match self {
-            ValueRef::Null => Value::Null,
-            ValueRef::Bool(b) => Value::Bool(*b),
-            ValueRef::I32(n) => Value::I32(*n),
-            ValueRef::I64(n) => Value::I64(*n),
-            ValueRef::F64(x) => Value::F64(*x),
-            ValueRef::Str(s) => Value::Str((*s).to_owned()),
-            ValueRef::Bytes(b) => Value::Bytes(b.to_vec()),
-            ValueRef::Date(ms) => Value::Date(*ms),
-            ValueRef::List(items) => Value::List(items.iter().map(ToValue::to_value).collect()),
-            ValueRef::Record(fields) => Value::Record(
-                fields
-                    .iter()
-                    .map(|(name, value)| ((*name).to_owned(), value.to_value()))
-                    .collect(),
-            ),
-            ValueRef::RemoteRef(id) => Value::RemoteRef(*id),
-        }
+        self.to_owned_value()
     }
 }
 
@@ -212,7 +223,7 @@ impl Value {
             Value::Record(fields) => ValueRef::Record(
                 fields
                     .iter()
-                    .map(|(name, value)| (name.as_str(), value.to_ref()))
+                    .map(|(name, value)| (name.as_ref(), value.to_ref()))
                     .collect(),
             ),
             Value::RemoteRef(id) => ValueRef::RemoteRef(*id),
@@ -220,7 +231,7 @@ impl Value {
     }
 }
 
-fn conversion_error(expected: &str, got: &Value) -> RemoteError {
+fn conversion_error<R: Repr>(expected: &str, got: &ValueIn<R>) -> RemoteError {
     RemoteError::new(
         RemoteErrorKind::BadArguments,
         format!("expected {expected}, got {}", got.type_name()),
@@ -259,6 +270,20 @@ pub trait ToValue {
 pub trait FromValue: Sized {
     /// Converts a wire value into `Self`.
     fn from_value(value: Value) -> Result<Self, RemoteError>;
+
+    /// Converts a value *viewed* in any storage — a future's stored owned
+    /// [`Value`], or a [`ValueRef`] borrowed from a request frame — without
+    /// taking it.
+    ///
+    /// The default makes one owned copy and calls
+    /// [`FromValue::from_value`]. Types that keep only part of the value,
+    /// or can copy straight out of a borrowed payload, override it:
+    /// `String`, `Vec<u8>`, `Option<T>` and `Vec<T>` here copy each payload
+    /// once, into the result. An override must agree with `from_value`:
+    /// the same `Ok` value, or an error of the same kind.
+    fn from_value_in<R: Repr>(value: &ValueIn<R>) -> Result<Self, RemoteError> {
+        Self::from_value(value.to_owned_value())
+    }
 }
 
 impl ToValue for Value {
@@ -372,6 +397,13 @@ impl FromValue for String {
             other => Err(conversion_error("string", &other)),
         }
     }
+
+    fn from_value_in<R: Repr>(value: &ValueIn<R>) -> Result<Self, RemoteError> {
+        match value {
+            ValueIn::Str(s) => Ok(s.as_ref().to_owned()),
+            other => Err(conversion_error("string", other)),
+        }
+    }
 }
 
 impl ToValue for &str {
@@ -395,6 +427,13 @@ impl FromValue for Vec<u8> {
         match value {
             Value::Bytes(b) => Ok(b),
             other => Err(conversion_error("bytes", &other)),
+        }
+    }
+
+    fn from_value_in<R: Repr>(value: &ValueIn<R>) -> Result<Self, RemoteError> {
+        match value {
+            ValueIn::Bytes(b) => Ok(b.as_ref().to_vec()),
+            other => Err(conversion_error("bytes", other)),
         }
     }
 }
@@ -422,6 +461,13 @@ impl<T: FromValue> FromValue for Option<T> {
             other => T::from_value(other).map(Some),
         }
     }
+
+    fn from_value_in<R: Repr>(value: &ValueIn<R>) -> Result<Self, RemoteError> {
+        match value {
+            ValueIn::Null => Ok(None),
+            other => T::from_value_in(other).map(Some),
+        }
+    }
 }
 
 impl<T: ToValue> ToValue for Vec<T> {
@@ -437,6 +483,13 @@ impl<T: ToValue> ToValue for Vec<T> {
 impl<T: FromValue> FromValue for Vec<T> {
     fn from_value(value: Value) -> Result<Self, RemoteError> {
         value.into_list()?.into_iter().map(T::from_value).collect()
+    }
+
+    fn from_value_in<R: Repr>(value: &ValueIn<R>) -> Result<Self, RemoteError> {
+        match value {
+            ValueIn::List(items) => items.iter().map(T::from_value_in).collect(),
+            other => Err(conversion_error("list", other)),
+        }
     }
 }
 

@@ -1,5 +1,9 @@
 //! Property tests: every wire structure must round-trip through the codec,
-//! and the decoder must never panic on arbitrary input.
+//! the decoder must never panic on arbitrary input, and every `FromValue`
+//! conversion must agree whether it borrows or takes its value.
+
+use std::borrow::Cow;
+use std::fmt::Debug;
 
 use brmi_wire::codec::{Encoder, WireCodec};
 use brmi_wire::invocation::{
@@ -7,8 +11,8 @@ use brmi_wire::invocation::{
     ExceptionAction, InvocationData, PolicyRule, PolicySpec, SessionId, SlotOutcome, Target,
 };
 use brmi_wire::protocol::{BatchCall, Frame, FrameRef, IdemKey, TraceCtx};
-use brmi_wire::value::{ObjectId, Value, ValueRef};
-use brmi_wire::WireError;
+use brmi_wire::value::{DateMillis, ObjectId, Value, ValueRef};
+use brmi_wire::{FromValue, RemoteErrorKind, ToValue, WireError};
 use proptest::prelude::*;
 
 /// Asserts that the owned and the borrowed decode of the same bytes agree:
@@ -19,6 +23,18 @@ fn assert_decodes_agree<T: WireCodec>(owned: Result<T, WireError>, borrowed: Res
         owned.map(|v| v.to_wire_bytes()),
         borrowed.map(|v| v.to_wire_bytes())
     );
+}
+
+/// Field names known at compile time, as `ToValue` impls write them.
+const STATIC_NAMES: [&str; 3] = ["text", "lang", "name"];
+
+/// A record field name: owned, as a decode makes it, or `Cow::Borrowed`
+/// from a static string, as `ToValue` impls build it.
+fn arb_name() -> impl Strategy<Value = Cow<'static, str>> {
+    prop_oneof![
+        "[a-z]{1,8}".prop_map(Cow::Owned),
+        (0..STATIC_NAMES.len()).prop_map(|i| Cow::Borrowed(STATIC_NAMES[i])),
+    ]
 }
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -37,7 +53,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(3, 24, 6, |inner| {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 0..6).prop_map(Value::List),
-            proptest::collection::vec(("[a-z]{1,8}", inner), 0..5).prop_map(Value::Record),
+            proptest::collection::vec((arb_name(), inner), 0..5).prop_map(Value::Record),
         ]
     })
 }
@@ -71,7 +87,7 @@ fn arb_invocation() -> impl Strategy<Value = InvocationData> {
             |(seq, target, method, args, cursor, opens_cursor)| InvocationData {
                 seq: CallSeq(seq),
                 target,
-                method,
+                method: method.into(),
                 args,
                 cursor: cursor.map(CallSeq),
                 opens_cursor,
@@ -232,6 +248,62 @@ fn arb_request_frame() -> impl Strategy<Value = Frame> {
     (shape, proptest::option::of(arb_ctx())).prop_map(|(frame, ctx)| frame.with_trace(ctx))
 }
 
+/// `T::from_value_in` on the owned value and on its borrowed view, and
+/// `T::from_value` on a copy, all agree: the same `Ok` value, or errors of
+/// the same kind.
+fn assert_conversion_agrees<T: FromValue + PartialEq + Debug>(value: &Value) {
+    fn kind<T>(result: &Result<T, brmi_wire::RemoteError>) -> Result<&T, RemoteErrorKind> {
+        result.as_ref().map_err(|e| e.kind())
+    }
+    let taken = T::from_value(value.clone());
+    let borrowed_owned = T::from_value_in(value);
+    let borrowed_view = T::from_value_in(&value.to_ref());
+    assert_eq!(kind(&borrowed_owned), kind(&taken), "{value:?}");
+    assert_eq!(kind(&borrowed_view), kind(&taken), "{value:?}");
+}
+
+/// Runs [`assert_conversion_agrees`] for every `FromValue` impl in
+/// `brmi_wire::value`, the generic ones at a few element types.
+fn assert_conversions_agree(value: &Value) {
+    assert_conversion_agrees::<Value>(value);
+    assert_conversion_agrees::<()>(value);
+    assert_conversion_agrees::<bool>(value);
+    assert_conversion_agrees::<i32>(value);
+    assert_conversion_agrees::<i64>(value);
+    assert_conversion_agrees::<f64>(value);
+    assert_conversion_agrees::<String>(value);
+    assert_conversion_agrees::<Vec<u8>>(value);
+    assert_conversion_agrees::<DateMillis>(value);
+    assert_conversion_agrees::<Option<i64>>(value);
+    assert_conversion_agrees::<Option<String>>(value);
+    assert_conversion_agrees::<Vec<i32>>(value);
+    assert_conversion_agrees::<Vec<Option<String>>>(value);
+    assert_conversion_agrees::<Vec<Vec<u8>>>(value);
+    assert_conversion_agrees::<(i32, String)>(value);
+    assert_conversion_agrees::<(Option<i64>, Vec<String>)>(value);
+}
+
+/// `value` with every record field name rebuilt: as `Cow::Borrowed` of
+/// the matching static name where there is one, as `Cow::Owned` otherwise.
+fn with_names(value: &Value, borrowed: bool) -> Value {
+    match value {
+        Value::List(items) => Value::List(items.iter().map(|v| with_names(v, borrowed)).collect()),
+        Value::Record(fields) => Value::Record(
+            fields
+                .iter()
+                .map(|(name, v)| {
+                    let name = match STATIC_NAMES.iter().find(|s| **s == name.as_ref()) {
+                        Some(s) if borrowed => Cow::Borrowed(*s),
+                        _ => Cow::Owned(name.to_string()),
+                    };
+                    (name, with_names(v, borrowed))
+                })
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
 /// `frame` with every idempotency key removed.
 fn without_keys(frame: &Frame) -> Frame {
     match frame.clone() {
@@ -373,6 +445,52 @@ proptest! {
         };
         let bytes = frame.to_wire_bytes();
         prop_assert_eq!(Frame::from_wire_bytes(&bytes).unwrap(), frame);
+    }
+
+    #[test]
+    fn borrowed_conversions_agree_with_owned(value in arb_value()) {
+        assert_conversions_agree(&value);
+    }
+
+    /// The same law on values shaped like the types' own encodings, so the
+    /// `Ok` arms are exercised as often as the errors.
+    #[test]
+    fn borrowed_conversions_agree_on_typed_values(
+        n in any::<i32>(),
+        s in ".{0,12}",
+        blob in proptest::collection::vec(any::<u8>(), 0..16),
+        strings in proptest::collection::vec(proptest::option::of(".{0,6}"), 0..4),
+        ints in proptest::collection::vec(any::<i32>(), 0..4),
+        wide in proptest::option::of(any::<i64>()),
+    ) {
+        let typed = [
+            n.to_value(),
+            s.to_value(),
+            blob.to_value(),
+            strings.to_value(),
+            ints.to_value(),
+            wide.to_value(),
+            (n, s.clone()).to_value(),
+            (wide, vec![s]).to_value(),
+            vec![blob.clone(), blob].to_value(),
+            DateMillis(i64::from(n)).to_value(),
+            true.to_value(),
+            (n as f64).to_value(),
+            ().to_value(),
+        ];
+        for value in &typed {
+            assert_conversions_agree(value);
+        }
+    }
+
+    /// A field name stored as a static `Cow::Borrowed` encodes to the same
+    /// bytes as the same name owned, at any depth.
+    #[test]
+    fn static_and_owned_names_encode_alike(value in arb_value()) {
+        let borrowed = with_names(&value, true);
+        let owned = with_names(&value, false);
+        prop_assert_eq!(borrowed.to_wire_bytes(), owned.to_wire_bytes());
+        prop_assert_eq!(borrowed.to_wire_bytes(), value.to_wire_bytes());
     }
 
     #[test]
