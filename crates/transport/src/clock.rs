@@ -63,9 +63,10 @@ impl brmi_obs::TimeSource for VirtualClock {
     }
 
     // Time only moves when a test advances the clock, so a deadline wait
-    // polls instead of sleeping the whole remainder.
+    // polls instead of sleeping the whole remainder — but never in slices
+    // under 50 µs, which would busy-poll a clock that is not moving.
     fn wait_slice(&self, remaining: Duration) -> Duration {
-        remaining.min(Duration::from_millis(1))
+        remaining.clamp(Duration::from_micros(50), Duration::from_millis(1))
     }
 }
 

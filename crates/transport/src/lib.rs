@@ -28,8 +28,9 @@
 //! [`Frame`]: brmi_wire::protocol::Frame
 
 // Unsafe code is denied crate-wide and allowed back in exactly one place:
-// the raw epoll syscall bindings in `reactor::sys` (the container has no
-// crates.io access, so there is no libc/mio to lean on).
+// the raw syscall bindings in `reactor::sys` — epoll, and the `prctl` that
+// tightens the relay flusher's timer slack (the container has no crates.io
+// access, so there is no libc/mio to lean on).
 #![deny(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
 
@@ -57,10 +58,14 @@ use brmi_wire::{RemoteError, Value};
 pub use clock::{Clock, SleepClock, VirtualClock};
 pub use profile::NetworkProfile;
 
-/// A synchronous request/response channel to one server.
+/// A request/response channel to one server.
 ///
 /// RMI semantics are synchronous, so one blocking round trip per request is
-/// the right abstraction; BRMI's whole point is to need fewer of them.
+/// the right abstraction for a caller; BRMI's whole point is to need fewer
+/// of them. A tier that forwards on behalf of others (the
+/// [relay](relay::BatchRelay)) can split the round trip with
+/// [`Transport::submit`] so the thread that sent a request need not be the
+/// one that waits for its reply.
 pub trait Transport: Send + Sync {
     /// Sends a request frame and waits for the reply frame.
     ///
@@ -69,11 +74,77 @@ pub trait Transport: Send + Sync {
     /// Returns a [`RemoteError`] of kind `Transport` when the connection
     /// fails, or `Marshal` when frames cannot be (de)coded.
     fn request(&self, frame: Frame) -> Result<Frame, RemoteError>;
+
+    /// Sends a request frame and returns its reply as a [`Pending`], which
+    /// any thread may claim with [`Pending::wait`].
+    ///
+    /// The provided default runs [`Transport::request`] to completion and
+    /// returns a ready `Pending`, so a blocking transport behaves exactly
+    /// as it does under `request`. [`MuxClient`](mux::MuxClient) overrides
+    /// it: the frame is on its way when `submit` returns, and the reply
+    /// arrives on the mux's reader thread.
+    fn submit(&self, frame: Frame) -> Pending {
+        Pending::ready(self.request(frame))
+    }
 }
 
 impl<T: Transport + ?Sized> Transport for Arc<T> {
     fn request(&self, frame: Frame) -> Result<Frame, RemoteError> {
         (**self).request(frame)
+    }
+
+    fn submit(&self, frame: Frame) -> Pending {
+        (**self).submit(frame)
+    }
+}
+
+/// The reply to a [`Transport::submit`] that may not have arrived yet.
+///
+/// A concrete type rather than a boxed future: a mux round trip carries
+/// the call's reply slot, a blocking one its finished result, and neither
+/// allocates. Dropping a `Pending` abandons the reply.
+#[derive(Debug)]
+pub struct Pending(PendingReply);
+
+#[derive(Debug)]
+enum PendingReply {
+    Ready(Result<Frame, RemoteError>),
+    Mux(mux::MuxPending),
+    /// A reply a test double fills when the test says so.
+    #[cfg(test)]
+    Held(Arc<slot::OneShot<Result<Frame, RemoteError>>>),
+}
+
+impl Pending {
+    /// A `Pending` whose outcome is already known.
+    pub fn ready(result: Result<Frame, RemoteError>) -> Pending {
+        Pending(PendingReply::Ready(result))
+    }
+
+    /// A `Pending` that resolves when `slot` is filled.
+    #[cfg(test)]
+    pub(crate) fn held(slot: Arc<slot::OneShot<Result<Frame, RemoteError>>>) -> Pending {
+        Pending(PendingReply::Held(slot))
+    }
+
+    /// Blocks until the reply arrives, then returns it.
+    ///
+    /// # Errors
+    ///
+    /// The same errors as [`Transport::request`].
+    pub fn wait(self) -> Result<Frame, RemoteError> {
+        match self.0 {
+            PendingReply::Ready(result) => result,
+            PendingReply::Mux(pending) => pending.wait(),
+            #[cfg(test)]
+            PendingReply::Held(slot) => slot.take(),
+        }
+    }
+}
+
+impl From<mux::MuxPending> for Pending {
+    fn from(pending: mux::MuxPending) -> Pending {
+        Pending(PendingReply::Mux(pending))
     }
 }
 

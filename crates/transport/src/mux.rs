@@ -84,7 +84,7 @@ use crate::framing::{
     read_body_chunked, trim_buf, write_all_vectored, MAX_FRAME, MUX_FLAG, MUX_ID_LEN,
 };
 use crate::slot::OneShot;
-use crate::{Transport, TransportStats};
+use crate::{Pending, Transport, TransportStats};
 
 /// Exception name carried by disconnect errors whose in-flight request may
 /// be retried on a fresh connection without risk of double execution:
@@ -539,6 +539,13 @@ impl MuxClient {
 impl Transport for MuxClient {
     fn request(&self, frame: Frame) -> Result<Frame, RemoteError> {
         self.call(&frame)?.wait()
+    }
+
+    fn submit(&self, frame: Frame) -> Pending {
+        match self.call(&frame) {
+            Ok(pending) => pending.into(),
+            Err(err) => Pending::ready(Err(err)),
+        }
     }
 }
 

@@ -127,12 +127,13 @@ use crate::RequestHandler;
 
 use sys::{Epoll, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
-/// Raw epoll bindings: the only unsafe code in the crate, kept to four
-/// syscalls behind a safe RAII wrapper.
+/// Raw syscall bindings: the only unsafe code in the crate — four epoll
+/// syscalls behind a safe RAII wrapper, plus the `prctl` that sets a
+/// thread's timer slack.
 #[allow(unsafe_code)]
-mod sys {
+pub(crate) mod sys {
     use std::io;
-    use std::os::raw::c_int;
+    use std::os::raw::{c_int, c_ulong};
     use std::os::unix::io::RawFd;
 
     pub(super) const EPOLLIN: u32 = 0x001;
@@ -185,6 +186,32 @@ mod sys {
             timeout: c_int,
         ) -> c_int;
         fn close(fd: c_int) -> c_int;
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+
+    const PR_SET_TIMERSLACK: c_int = 29;
+    #[cfg(test)]
+    const PR_GET_TIMERSLACK: c_int = 30;
+    /// The timer slack [`tighten_timer_slack`] sets: the smallest the
+    /// kernel accepts (`0` would mean "back to the default").
+    const TIMER_SLACK_NANOS: c_ulong = 1;
+
+    /// Sets the calling thread's timer slack to 1 ns, so its timed waits
+    /// end at their deadlines. Linux otherwise lets every timed futex wait
+    /// run up to 50 µs late (the default slack) to batch timer wake-ups.
+    /// The slack is a per-thread attribute of this process; on failure the
+    /// thread keeps the default.
+    pub(crate) fn tighten_timer_slack() {
+        // SAFETY: PR_SET_TIMERSLACK takes one integer argument and touches
+        // no memory of ours.
+        unsafe { prctl(PR_SET_TIMERSLACK, TIMER_SLACK_NANOS) };
+    }
+
+    /// The calling thread's timer slack in nanoseconds.
+    #[cfg(test)]
+    pub(crate) fn timer_slack_nanos() -> c_int {
+        // SAFETY: PR_GET_TIMERSLACK takes no argument and returns the slack.
+        unsafe { prctl(PR_GET_TIMERSLACK) }
     }
 
     /// An epoll instance; closed on drop.
@@ -1553,6 +1580,18 @@ mod tests {
             method: "echo".into(),
             args,
         }
+    }
+
+    #[test]
+    fn tightened_timer_slack_reads_back_one_nanosecond() {
+        // On a thread of its own, so the test harness's keeps its slack.
+        let slack = std::thread::spawn(|| {
+            sys::tighten_timer_slack();
+            sys::timer_slack_nanos()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(slack, 1);
     }
 
     fn echo_server() -> ReactorServer {

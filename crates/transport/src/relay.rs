@@ -55,11 +55,21 @@
 //! [`VirtualClock`](crate::clock::VirtualClock) so tests drive the delay
 //! path deterministically.
 //!
+//! One flusher thread times the window. On Linux it sets its own timer
+//! slack to 1 ns when it starts, so a wall-clock window closes within a
+//! few microseconds of its deadline instead of up to the default 50 µs
+//! slack late; the `relay_window_overshoot_nanos` histogram
+//! ([`RelayStats::window_overshoot`]) records how late each timed window
+//! closed. An arrival wakes the flusher only when it changes the flush
+//! decision: into an empty queue, on reaching the call budget, or when an
+//! adaptive relay retunes its window. Any other arrival rides the window
+//! already running.
+//!
 //! # Serving the edge
 //!
 //! [`BatchRelay`] is a [`RequestHandler`]; any transport can front it. The
 //! downstream handler *blocks* until its batch's super-batch completes —
-//! parked on a [`OneShot`] that the flusher fills with its reply — so the
+//! parked on a [`OneShot`] that the relay fills with its reply — so the
 //! edge is served by the epoll reactor with **worker-pool dispatch**
 //! ([`ReactorConfig::dispatch_workers`](crate::reactor::ReactorConfig)
 //! sized to the peak number of concurrently blocked batches): frame IO
@@ -68,6 +78,17 @@
 //! connections. In tests the in-process transport fronts it as well.
 //! Non-batch frames (plain calls, registry lookups, session releases, DGC
 //! traffic) are forwarded upstream one-for-one.
+//!
+//! The flusher does not wait out the upstream round trip. It
+//! [submits](Transport::submit) each group's frame and hands the pending
+//! reply to the group's first member: that member's handler, parked
+//! anyway, waits for the reply and fills every member's slot, its own
+//! included. Over a split-phase upstream
+//! ([`MuxClient`](crate::mux::MuxClient)) the flusher is back at the queue
+//! as soon as the frame is written, so several groups — and both halves of
+//! a mixed keyed/unkeyed group — are in flight at once, bounded by the
+//! downstream handlers parked on them; no thread is added. Over a blocking
+//! upstream `submit` runs the whole round trip, as before.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -82,7 +103,7 @@ use brmi_wire::protocol::{BatchCall, Frame, TraceCtx};
 use brmi_wire::{RemoteError, RemoteErrorKind};
 
 use crate::slot::OneShot;
-use crate::{RequestHandler, Transport};
+use crate::{Pending, RequestHandler, Transport};
 
 /// Knobs of the keyed read cache a
 /// [`BatchFetcher`](crate::fetcher::BatchFetcher) layers in front of a
@@ -247,7 +268,8 @@ impl RelayPolicyBuilder {
 /// unified snapshots. The relay additionally keeps a
 /// `relay_coalesce_wait_nanos` histogram of how long each batch waited at
 /// the edge for company — the coalesce-wait half of the paper's latency
-/// story, exact under virtual time.
+/// story, exact under virtual time — and a `relay_window_overshoot_nanos`
+/// histogram of how far past its deadline each timed window closed.
 #[derive(Debug, Default)]
 pub struct RelayStats {
     batches: Counter,
@@ -257,6 +279,7 @@ pub struct RelayStats {
     forwarded: Counter,
     largest_group: Gauge,
     coalesce_wait: Histogram,
+    window_overshoot: Histogram,
     adaptive_delay: Gauge,
 }
 
@@ -299,6 +322,14 @@ impl RelayStats {
         self.coalesce_wait.snapshot()
     }
 
+    /// Histogram of how late the flush window closed: the flush instant
+    /// minus the window's deadline, for every flush the timer closed
+    /// (nanoseconds, [`TimeSource`] time). Flushes that a full call budget
+    /// or shutdown triggered are not counted.
+    pub fn window_overshoot(&self) -> brmi_obs::HistogramSnapshot {
+        self.window_overshoot.snapshot()
+    }
+
     /// The flush window currently in force, in nanoseconds. Only moves
     /// when the relay runs with an [`AdaptivePolicy`]: it starts at the
     /// policy's `max_delay` and retunes on every arrival after the first.
@@ -325,6 +356,7 @@ impl RelayStats {
         registry.register_counter("relay_forwarded_frames", &[], &self.forwarded);
         registry.register_gauge("relay_largest_group", &[], &self.largest_group);
         registry.register_histogram("relay_coalesce_wait_nanos", &[], &self.coalesce_wait);
+        registry.register_histogram("relay_window_overshoot_nanos", &[], &self.window_overshoot);
         registry.register_gauge("relay_adaptive_delay_nanos", &[], &self.adaptive_delay);
     }
 }
@@ -358,7 +390,68 @@ struct PendingBatch {
     trace_start: Duration,
     /// Hand-off cell between the blocked downstream handler and the
     /// flusher.
-    reply: Arc<OneShot<Frame>>,
+    reply: Arc<OneShot<Delivery>>,
+}
+
+/// What a downstream handler parked in `relay_batch` is woken with.
+enum Delivery {
+    /// Its batch's reply.
+    Reply(Frame),
+    /// Its batch leads a group whose upstream frame is in flight: the
+    /// handler waits out the round trip and answers every member.
+    Lead(InFlight),
+}
+
+/// A group whose upstream frame has been submitted.
+struct InFlight {
+    reply: Pending,
+    /// Every member's reply cell and trace context, in upstream order;
+    /// the leader is the first.
+    members: Vec<(Arc<OneShot<Delivery>>, Option<TraceCtx>)>,
+}
+
+impl InFlight {
+    /// Waits for the upstream reply and hands each member its share. A
+    /// single batch travelled as a plain [`Frame::BatchCall`], so its reply
+    /// is passed through whatever it is; a super-batch's reply is split
+    /// per member, and anything but a well-formed one fails every member
+    /// the same way at its client's flush.
+    fn answer(self) {
+        let InFlight { reply, members } = self;
+        let reply = reply.wait().map(|reply| reply.split_trace().1);
+        let env = match reply {
+            Ok(frame) if members.len() == 1 => {
+                let (slot, trace) = members.into_iter().next().expect("one member");
+                slot.set(Delivery::Reply(frame.with_trace(trace)));
+                return;
+            }
+            Ok(Frame::SuperBatchReturn(replies)) if replies.len() == members.len() => {
+                for ((slot, trace), reply) in members.into_iter().zip(replies) {
+                    let frame = match reply {
+                        Ok(response) => Frame::BatchReturn(response),
+                        Err(env) => Frame::Error(env),
+                    };
+                    slot.set(Delivery::Reply(frame.with_trace(trace)));
+                }
+                return;
+            }
+            // The origin rejected the super-batch as a whole.
+            Ok(Frame::Error(env)) => env,
+            Ok(other) => ErrorEnvelope::from(&RemoteError::new(
+                RemoteErrorKind::Protocol,
+                format!("unexpected super-batch reply frame: {}", other.kind_name()),
+            )),
+            // The relay itself never retries: the origin may or may not
+            // have executed the group, and replaying unkeyed calls could
+            // double-apply them. Keyed groups get their retries from a
+            // retry-wrapped upstream link (before this error surfaces);
+            // once it gives up, the members fail.
+            Err(err) => ErrorEnvelope::from(&err),
+        };
+        for (slot, trace) in members {
+            slot.set(Delivery::Reply(Frame::Error(env.clone()).with_trace(trace)));
+        }
+    }
 }
 
 struct Queue {
@@ -495,11 +588,12 @@ impl BatchRelay {
             (None, ctx) => (ctx, Duration::ZERO),
             (Some(_), None) => (None, Duration::ZERO),
         };
-        {
+        let wake_flusher = {
             let mut queue = self.shared.queue.lock().expect("relay queue lock");
             if queue.shutdown {
                 return Frame::Error(ErrorEnvelope::from(&relay_down()));
             }
+            let was_empty = queue.pending.is_empty();
             let weight = call.request.calls.len().max(1);
             queue.pending_weight += weight;
             let now = self.shared.time.now();
@@ -532,13 +626,25 @@ impl BatchRelay {
                 trace_start,
                 reply: Arc::clone(&reply),
             });
-        }
+            arrival_wakes_flusher(&self.shared.policy, was_empty, queue.pending_weight)
+        };
         self.shared.stats.batches.inc();
         if keyed {
             self.shared.stats.keyed_batches.inc();
         }
-        self.shared.arrivals.notify_all();
-        reply.take()
+        if wake_flusher {
+            self.shared.arrivals.notify_one();
+        }
+        loop {
+            match reply.take() {
+                Delivery::Reply(frame) => return frame,
+                // This batch leads its group: the upstream round trip is
+                // waited out here, on a thread that is parked anyway, so
+                // the flusher is already back at the queue. The leader's
+                // own reply lands in its slot like every other member's.
+                Delivery::Lead(flight) => flight.answer(),
+            }
+        }
     }
 
     /// Number of batches currently waiting to be coalesced.
@@ -560,8 +666,10 @@ impl BatchRelay {
         }
     }
 
-    /// Stops the flusher after draining every pending batch. New batch
-    /// frames are rejected afterwards. Idempotent; also runs on drop.
+    /// Stops the flusher after submitting every pending batch upstream;
+    /// groups still in flight are answered by their leaders as their
+    /// replies arrive. New batch frames are rejected afterwards.
+    /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         {
             let mut queue = self.shared.queue.lock().expect("relay queue lock");
@@ -609,6 +717,19 @@ impl RequestHandler for BatchRelay {
     }
 }
 
+/// Whether an arrival must wake the flusher: only when it changes the
+/// flusher's decision. An empty queue means the flusher waits with no
+/// deadline; a full call budget means it must flush now; an adaptive
+/// relay has just retuned the window the flusher is timing.
+///
+/// Any other arrival joins a queue whose flusher already sleeps toward the
+/// oldest batch's deadline — or is flushing and rechecks the queue under
+/// the lock before it sleeps again — so skipping the notify loses no
+/// wake-up: the new batch ships with the window that is already running.
+fn arrival_wakes_flusher(policy: &RelayPolicy, was_empty: bool, pending_weight: usize) -> bool {
+    was_empty || pending_weight >= policy.max_coalesced_calls || policy.adaptive.is_some()
+}
+
 fn relay_down() -> RemoteError {
     RemoteError::new(RemoteErrorKind::Transport, "relay is shut down")
 }
@@ -647,6 +768,9 @@ fn effective_delay(shared: &Shared) -> Duration {
 }
 
 fn flusher_loop(shared: &Shared) {
+    // The window must close on its deadline, not up to 50 µs later.
+    #[cfg(target_os = "linux")]
+    crate::reactor::sys::tighten_timer_slack();
     loop {
         let group = {
             let mut queue = shared.queue.lock().expect("relay queue lock");
@@ -665,17 +789,17 @@ fn flusher_loop(shared: &Shared) {
                 // Recomputed every pass: in adaptive mode each arrival may
                 // retune the window while the flusher is mid-wait.
                 let max_delay = effective_delay(shared);
-                if queue.shutdown
-                    || queue.pending_weight >= shared.policy.max_coalesced_calls
-                    || waited >= max_delay
-                {
+                if queue.shutdown || queue.pending_weight >= shared.policy.max_coalesced_calls {
                     break take_group(&mut queue, shared.policy.max_coalesced_calls, now);
                 }
-                let remaining = max_delay - waited;
-                let slice = shared
-                    .time
-                    .wait_slice(remaining)
-                    .max(Duration::from_micros(50));
+                if waited >= max_delay {
+                    shared
+                        .stats
+                        .window_overshoot
+                        .record_nanos(waited - max_delay);
+                    break take_group(&mut queue, shared.policy.max_coalesced_calls, now);
+                }
+                let slice = shared.time.wait_slice(max_delay - waited);
                 let (guard, _) = shared
                     .arrivals
                     .wait_timeout(queue, slice)
@@ -687,9 +811,10 @@ fn flusher_loop(shared: &Shared) {
     }
 }
 
-/// Ships one group upstream and distributes the replies. Keyed and unkeyed
-/// members never share an upstream frame (their delivery modes differ), so
-/// a mixed group splits into one flush per mode.
+/// Ships one group upstream. Keyed and unkeyed members never share an
+/// upstream frame (their delivery modes differ), so a mixed group splits
+/// into one flush per mode; over a split-phase upstream both halves are in
+/// flight at once.
 fn flush_group(shared: &Shared, group: Vec<PendingBatch>) {
     let (keyed, unkeyed): (Vec<_>, Vec<_>) = group.into_iter().partition(|b| b.call.key.is_some());
     flush_uniform(shared, unkeyed);
@@ -700,6 +825,12 @@ fn flush_group(shared: &Shared, group: Vec<PendingBatch>) {
 /// plain [`Frame::BatchCall`] — the relay is then a transparent proxy; two
 /// or more travel as one [`Frame::SuperBatchCall`]. Either way each member
 /// keeps the key it arrived under.
+///
+/// The frame is [submitted](Transport::submit), and the pending reply is
+/// handed to the group's first member, whose downstream handler waits for
+/// it and answers the group. So the flusher never waits out an upstream
+/// round trip (unless the upstream is a blocking one), and the groups in
+/// flight are bounded by the handlers parked on them: no thread is added.
 fn flush_uniform(shared: &Shared, group: Vec<PendingBatch>) {
     if group.is_empty() {
         return;
@@ -721,65 +852,27 @@ fn flush_uniform(shared: &Shared, group: Vec<PendingBatch>) {
     }
     // The upstream frame carries the first traced member's context (the
     // representative: one envelope per round trip, like one frame per
-    // super-batch). Replies are re-enveloped per member below.
+    // super-batch). Replies are re-enveloped per member.
     let group_ctx = group.iter().find_map(|b| b.trace);
-    if group.len() == 1 {
-        let batch = group.into_iter().next().expect("singleton group");
-        let trace = batch.trace;
-        let frame = Frame::BatchCall(batch.call);
-        let reply = match shared.upstream.request(frame.with_trace(trace)) {
-            Ok(reply) => reply.split_trace().1,
-            Err(err) => Frame::Error(ErrorEnvelope::from(&err)),
-        };
-        batch.reply.set(reply.with_trace(trace));
-        return;
-    }
-
     // Split each pending batch into its request (moved onto the wire) and
     // its reply slot plus trace context (kept for demultiplexing) — no
     // cloning on the hot path.
-    let mut slots = Vec::with_capacity(group.len());
-    let members = group
+    let mut members = Vec::with_capacity(group.len());
+    let mut calls: Vec<BatchCall> = group
         .into_iter()
         .map(|b| {
-            slots.push((b.reply, b.trace));
+            members.push((b.reply, b.trace));
             b.call
         })
         .collect();
-    let frame = Frame::SuperBatchCall(members);
-    let reply = shared
-        .upstream
-        .request(frame.with_trace(group_ctx))
-        .map(|reply| reply.split_trace().1);
-    // Anything but a well-formed super-batch reply fails every member the
-    // same way at its client's flush.
-    let env = match reply {
-        Ok(Frame::SuperBatchReturn(replies)) if replies.len() == slots.len() => {
-            for ((slot, trace), reply) in slots.into_iter().zip(replies) {
-                let frame = match reply {
-                    Ok(response) => Frame::BatchReturn(response),
-                    Err(env) => Frame::Error(env),
-                };
-                slot.set(frame.with_trace(trace));
-            }
-            return;
-        }
-        // The origin rejected the super-batch as a whole.
-        Ok(Frame::Error(env)) => env,
-        Ok(other) => ErrorEnvelope::from(&RemoteError::new(
-            RemoteErrorKind::Protocol,
-            format!("unexpected super-batch reply frame: {}", other.kind_name()),
-        )),
-        // The relay itself never retries: the origin may or may not have
-        // executed the group, and replaying unkeyed calls could
-        // double-apply them. Keyed groups get their retries from a
-        // retry-wrapped upstream link (before this error surfaces); once
-        // it gives up, the members fail.
-        Err(err) => ErrorEnvelope::from(&err),
+    let frame = if calls.len() == 1 {
+        Frame::BatchCall(calls.pop().expect("one call"))
+    } else {
+        Frame::SuperBatchCall(calls)
     };
-    for (slot, trace) in slots {
-        slot.set(Frame::Error(env.clone()).with_trace(trace));
-    }
+    let reply = shared.upstream.submit(frame.with_trace(group_ctx));
+    let leader = Arc::clone(&members[0].0);
+    leader.set(Delivery::Lead(InFlight { reply, members }));
 }
 
 #[cfg(test)]
@@ -843,6 +936,85 @@ mod tests {
                 Frame::Call { .. } => Frame::Return(Value::Str("forwarded".into())),
                 _ => Frame::Released,
             }
+        }
+    }
+
+    /// Upstream test double for the split-phase path: answers like
+    /// [`RecordingOrigin`] (or fails with `failure`), but `submit` holds
+    /// each reply until [`HeldUpstream::release`]; submits after the
+    /// release are answered at once.
+    struct HeldUpstream {
+        origin: Arc<RecordingOrigin>,
+        failure: Option<&'static str>,
+        state: Mutex<Held>,
+        submitted: Condvar,
+    }
+
+    type Reply = Result<Frame, RemoteError>;
+
+    #[derive(Default)]
+    struct Held {
+        submits: usize,
+        released: bool,
+        replies: Vec<(Reply, Arc<OneShot<Reply>>)>,
+    }
+
+    impl HeldUpstream {
+        fn new(origin: Arc<RecordingOrigin>, failure: Option<&'static str>) -> Arc<Self> {
+            Arc::new(HeldUpstream {
+                origin,
+                failure,
+                state: Mutex::new(Held::default()),
+                submitted: Condvar::new(),
+            })
+        }
+
+        /// Whether `n` frames were submitted within two seconds.
+        fn saw_submits(&self, n: usize) -> bool {
+            let state = self.state.lock().unwrap();
+            let (state, _) = self
+                .submitted
+                .wait_timeout_while(state, Duration::from_secs(2), |state| state.submits < n)
+                .unwrap();
+            state.submits >= n
+        }
+
+        fn submits(&self) -> usize {
+            self.state.lock().unwrap().submits
+        }
+
+        fn release(&self) {
+            let held = {
+                let mut state = self.state.lock().unwrap();
+                state.released = true;
+                std::mem::take(&mut state.replies)
+            };
+            for (reply, slot) in held {
+                slot.set(reply);
+            }
+        }
+    }
+
+    impl Transport for HeldUpstream {
+        fn request(&self, frame: Frame) -> Result<Frame, RemoteError> {
+            self.submit(frame).wait()
+        }
+
+        fn submit(&self, frame: Frame) -> Pending {
+            let reply = match self.failure {
+                Some(message) => Err(RemoteError::transport(message)),
+                None => Ok(self.origin.handle(frame)),
+            };
+            let slot = Arc::new(OneShot::default());
+            let mut state = self.state.lock().unwrap();
+            state.submits += 1;
+            if state.released {
+                slot.set(reply);
+            } else {
+                state.replies.push((reply, Arc::clone(&slot)));
+            }
+            self.submitted.notify_all();
+            Pending::held(slot)
         }
     }
 
@@ -1284,5 +1456,205 @@ mod tests {
             Frame::Error(env) => assert_eq!(env.kind, "transport"),
             other => panic!("expected error after shutdown, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_flusher_keeps_a_second_group_in_flight() {
+        let origin = RecordingOrigin::new();
+        let upstream = HeldUpstream::new(origin.clone(), None);
+        // Each two-call batch fills the budget, so each is a group of its
+        // own that flushes as soon as it arrives.
+        let relay = BatchRelay::new(
+            Arc::clone(&upstream) as Arc<dyn Transport>,
+            RelayPolicy::builder()
+                .max_coalesced_calls(2)
+                .max_delay(Duration::from_secs(30))
+                .build(),
+        );
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let relay = Arc::clone(&relay);
+                std::thread::spawn(move || relay.handle(batch_frame(2)))
+            })
+            .collect();
+        // A flusher that waited out the first round trip would never
+        // submit the second group while the first reply is held.
+        let both_in_flight = upstream.saw_submits(2);
+        upstream.release();
+        for worker in workers {
+            expect_batch_return(worker.join().unwrap(), 2);
+        }
+        assert!(both_in_flight, "the second group waited for the first");
+        assert_eq!(relay.stats().upstream_flushes(), 2);
+    }
+
+    #[test]
+    fn a_mixed_group_sends_both_halves_before_either_reply() {
+        let origin = RecordingOrigin::new();
+        let upstream = HeldUpstream::new(origin.clone(), None);
+        let relay = BatchRelay::new(
+            Arc::clone(&upstream) as Arc<dyn Transport>,
+            RelayPolicy::builder()
+                .max_coalesced_calls(2)
+                .max_delay(Duration::from_secs(30))
+                .build(),
+        );
+        let gate = Arc::new(Barrier::new(2));
+        let workers: Vec<_> = [Some(0), None]
+            .into_iter()
+            .map(|key| {
+                let relay = Arc::clone(&relay);
+                let gate = Arc::clone(&gate);
+                std::thread::spawn(move || {
+                    gate.wait();
+                    relay.handle(keyed_batch_frame(key, 1))
+                })
+            })
+            .collect();
+        let both_sent = upstream.saw_submits(2);
+        upstream.release();
+        for worker in workers {
+            expect_batch_return(worker.join().unwrap(), 1);
+        }
+        assert!(both_sent, "one half waited for the other's reply");
+        let frames = origin.frames();
+        assert_eq!(frames.len(), 2, "{frames:?}");
+        assert_eq!(frames.iter().filter(|f| f.is_retry_safe()).count(), 1);
+    }
+
+    #[test]
+    fn a_failed_pending_fails_every_member_once() {
+        let origin = RecordingOrigin::new();
+        let upstream = HeldUpstream::new(origin.clone(), Some("link lost"));
+        let relay = BatchRelay::new(
+            Arc::clone(&upstream) as Arc<dyn Transport>,
+            RelayPolicy::builder()
+                .max_coalesced_calls(2 * 2)
+                .max_delay(Duration::from_secs(30))
+                .build(),
+        );
+        let gate = Arc::new(Barrier::new(2));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let relay = Arc::clone(&relay);
+                let gate = Arc::clone(&gate);
+                std::thread::spawn(move || {
+                    gate.wait();
+                    relay.handle(batch_frame(2))
+                })
+            })
+            .collect();
+        assert!(upstream.saw_submits(1));
+        upstream.release();
+        for worker in workers {
+            match worker.join().unwrap() {
+                Frame::Error(env) => {
+                    assert_eq!(env.kind, "transport");
+                    assert!(env.message.contains("link lost"), "{env:?}");
+                }
+                other => panic!("expected error frame, got {other:?}"),
+            }
+        }
+        // One super-batch, submitted once and never re-sent.
+        assert_eq!(upstream.submits(), 1);
+        assert_eq!(relay.stats().upstream_flushes(), 1);
+        assert_eq!(relay.stats().largest_group(), 2);
+    }
+
+    #[test]
+    fn shutdown_with_a_group_in_flight_still_answers_it() {
+        let origin = RecordingOrigin::new();
+        let upstream = HeldUpstream::new(origin.clone(), None);
+        let relay = BatchRelay::new(
+            Arc::clone(&upstream) as Arc<dyn Transport>,
+            RelayPolicy::builder()
+                .max_coalesced_calls(1)
+                .max_delay(Duration::from_secs(30))
+                .build(),
+        );
+        let worker = {
+            let relay = Arc::clone(&relay);
+            std::thread::spawn(move || relay.handle(batch_frame(1)))
+        };
+        assert!(upstream.saw_submits(1));
+        // The flusher is back at the queue, so shutdown returns while the
+        // group's reply is still held.
+        let stopper = {
+            let relay = Arc::clone(&relay);
+            std::thread::spawn(move || relay.shutdown())
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while !stopper.is_finished() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stopped_first = stopper.is_finished();
+        upstream.release();
+        stopper.join().unwrap();
+        expect_batch_return(worker.join().unwrap(), 1);
+        assert!(stopped_first, "shutdown waited out the round trip");
+    }
+
+    #[test]
+    fn only_arrivals_that_change_the_flush_decision_wake_the_flusher() {
+        let fixed = RelayPolicy::builder().max_coalesced_calls(4).build();
+        assert!(arrival_wakes_flusher(&fixed, true, 1), "empty queue");
+        assert!(
+            !arrival_wakes_flusher(&fixed, false, 3),
+            "inside the window"
+        );
+        assert!(arrival_wakes_flusher(&fixed, false, 4), "budget reached");
+        let adaptive = RelayPolicy::builder()
+            .max_coalesced_calls(4)
+            .adaptive(AdaptivePolicy::default())
+            .build();
+        assert!(arrival_wakes_flusher(&adaptive, false, 2), "window retuned");
+    }
+
+    #[test]
+    fn an_arrival_inside_the_window_ships_with_the_running_window() {
+        let origin = RecordingOrigin::new();
+        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let clock = VirtualClock::new();
+        let relay = BatchRelay::with_time_source(
+            upstream,
+            RelayPolicy::builder()
+                .max_coalesced_calls(1000)
+                .max_delay(Duration::from_millis(10))
+                .build(),
+            clock.clone(),
+        );
+        let spawn = |n| {
+            let worker = {
+                let relay = Arc::clone(&relay);
+                std::thread::spawn(move || relay.handle(batch_frame(1)))
+            };
+            while relay.pending_batches() < n {
+                std::thread::yield_now();
+            }
+            worker
+        };
+        let first = spawn(1);
+        clock.advance(Duration::from_millis(4));
+        // The second arrival sends no notify: the flusher already sleeps
+        // toward the first batch's deadline.
+        let second = spawn(2);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            relay.pending_batches(),
+            2,
+            "flushed before the window ended"
+        );
+        clock.advance(Duration::from_millis(7));
+        expect_batch_return(first.join().unwrap(), 1);
+        expect_batch_return(second.join().unwrap(), 1);
+        let frames = origin.frames();
+        assert!(
+            matches!(frames.as_slice(), [Frame::SuperBatchCall(members)] if members.len() == 2),
+            "{frames:?}"
+        );
+        // Virtual time stood still between the deadline passing and the
+        // flush: the window closed exactly 1 ms late.
+        let overshoot = relay.stats().window_overshoot();
+        assert_eq!((overshoot.count, overshoot.sum), (1, 1_000_000));
     }
 }

@@ -2,8 +2,9 @@
 //! it is there.
 //!
 //! Every tier hands one round trip's outcome to its waiting caller through
-//! this cell: the mux reader thread to a blocked caller, the relay flusher
-//! to a downstream handler, a fetcher probe to every caller coalesced onto
+//! this cell: the mux reader thread to a blocked caller, the relay to a
+//! downstream handler (the flusher hands a group's pending reply to its
+//! first member, which answers the rest), a fetcher probe to every caller coalesced onto
 //! it, and a pipelined flush worker to whoever touches one of its futures.
 //! A wait is a plain `Mutex` + `Condvar` park, with no spin and no timeout.
 
