@@ -182,6 +182,10 @@ pub fn run_durable_stress(
     let started = Instant::now();
     run_clients(&server, config)?;
     let elapsed_durable = started.elapsed();
+    // The last cadence snapshot may still be on the writer: its count,
+    // its reclaimed segments and the file recovery reads must all land
+    // before they are read.
+    journal.wait_snapshots();
     let stats = journal.stats();
     let segments_after = journal.log().segment_count() as u64;
     let calls_executed = noop.calls();
@@ -244,6 +248,44 @@ mod tests {
         assert_eq!(a.appends, b.appends);
         assert_eq!(a.append_bytes, b.append_bytes);
         assert_eq!(a.fsyncs, b.fsyncs);
+    }
+
+    #[test]
+    fn counts_are_deterministic_with_snapshots_on() {
+        // (batches per client, segments after, replayed executions): the
+        // values of the synchronous snapshot path, which wrote the file
+        // before the reply left. With 15 batches the last execution
+        // crosses the cadence, so its snapshot is still on the writer
+        // when the workload ends; with 12, seven records follow the last
+        // snapshot across a size rotation.
+        for (batches, segments_after, replayed) in [(12, 2, 7), (15, 1, 0)] {
+            let config = DurableStressConfig {
+                clients: 3,
+                batches_per_client: batches,
+                calls_per_batch: 5,
+                segment_bytes: 512,
+                snapshot_every: 8,
+            };
+            let a = run_durable_stress(&config).unwrap();
+            assert_eq!(a.appends, 3 * (1 + batches as u64));
+            assert_eq!(a.snapshots, a.appends / 8);
+            // Where the segments were cut and what the last snapshot
+            // covers follow from the execution sequence alone, not from
+            // how fast the snapshot writer ran.
+            assert_eq!(a.segments_after, segments_after, "{batches} batches");
+            assert_eq!(
+                a.recovery.replayed_executions, replayed,
+                "{batches} batches"
+            );
+            let b = run_durable_stress(&config).unwrap();
+            assert_eq!(
+                (a.appends, a.append_bytes, a.fsyncs, a.snapshots),
+                (b.appends, b.append_bytes, b.fsyncs, b.snapshots)
+            );
+            assert_eq!(a.segments_after, b.segments_after);
+            assert_eq!(a.recovery, b.recovery);
+            assert_eq!(a.calls_replayed, b.calls_replayed);
+        }
     }
 
     #[test]

@@ -54,8 +54,11 @@
 //! [`Log::append_durable`] is append + commit-through fused.
 //! [`Log::write_snapshot`] commits the history it claims the same way,
 //! then writes, fsyncs and renames the snapshot file *outside* the mutex
-//! and takes it again only to publish the floor and seal the active
-//! segment — appends and commits proceed while a snapshot is written.
+//! and takes it again only to publish the floor and reclaim what it
+//! covers — appends and commits proceed while a snapshot is written.
+//! [`Log::seal_segment`] takes the segment cut at the moment a state is
+//! captured, so the file itself can be written later, off the caller's
+//! path, without moving any segment boundary.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -564,16 +567,34 @@ impl Log {
         Ok(lsn)
     }
 
+    /// Makes every LSN below `floor` durable and seals the active segment
+    /// (if it holds any record), so records appended from here on land in
+    /// a segment a snapshot at `floor` does not cover. A caller that
+    /// captures state as of `floor` seals at the capture, then hands the
+    /// file to [`Log::write_snapshot`] on another thread: the segment
+    /// boundaries stay a function of the append sequence alone, however
+    /// long the file takes to write.
+    pub fn seal_segment(&self, floor: u64) -> Result<(), LogError> {
+        let (g, committed) = self.wait_durable(self.lock(), floor);
+        committed?;
+        self.seal_if(g, |g| g.seg_records > 0).map(drop)
+    }
+
     /// Writes a compacted snapshot claiming to capture all effects of
     /// LSNs `< next_lsn`, then garbage-collects segments (and older
-    /// snapshots) fully covered by it. Everything appended so far is
-    /// committed first so the claim can only cover durable history. The
-    /// snapshot file is written with the log mutex released: appends and
-    /// commits proceed meanwhile.
+    /// snapshots) fully covered by it. The history the claim covers is
+    /// committed first, so it can only cover durable records. The file is
+    /// written with the log mutex released: appends and commits proceed
+    /// meanwhile. If the active segment still holds records below the
+    /// floor it is sealed once the file is in place, so they can be
+    /// reclaimed; after a [`Log::seal_segment`] at the same floor there is
+    /// nothing to seal and the file write is all that is left.
     pub fn write_snapshot(&self, next_lsn: u64, payload: &[u8]) -> Result<(), LogError> {
         let _one_snapshot = self.snapshot_gate.lock().expect("snapshot gate poisoned");
         let crash = {
-            let g = self.commit_all()?;
+            let (g, committed) = self.wait_durable(self.lock(), next_lsn);
+            g.check_alive()?;
+            committed?;
             assert!(
                 next_lsn <= g.durable_lsn,
                 "snapshot claims undurable lsn {} (durable horizon {})",
@@ -591,29 +612,32 @@ impl Log {
         let tmp_path = final_path.with_extension("snap.tmp");
         {
             let tmp = File::create(&tmp_path)?;
-            self.write_crashing(&crash, &tmp, &framed)?;
-            tmp.sync_data()?;
+            let written = self
+                .write_crashing(&crash, &tmp, &framed)
+                .and_then(|()| Ok(tmp.sync_data()?));
+            if let Err(err) = written {
+                // A failed disk leaves the machine up, and nothing but the
+                // next open would sweep the partial file. (After a power
+                // cut nothing runs: recovery sweeps it.)
+                if matches!(err, LogError::Io(_)) {
+                    let _ = fs::remove_file(&tmp_path);
+                }
+                return Err(err);
+            }
             self.fsyncs.inc();
         }
         fs::rename(&tmp_path, &final_path)?;
         self.sync_dir();
         self.snapshots.inc();
 
-        // Publish the floor, seal the active segment so future appends
-        // land past the floor, and unlink from the index every segment
-        // the snapshot fully covers. A leader owns the active file while
-        // it flushes, so wait it out first.
+        // Seal the active segment if it holds records below the floor,
+        // publish the floor, and unlink from the index every segment the
+        // snapshot fully covers.
         let (floor, reclaimed) = {
-            let mut g = self.lock();
-            while g.flushing {
-                g = self.flushed.wait(g).expect("durable log poisoned");
-            }
-            g.check_alive()?;
-            g.snapshot_floor = g.snapshot_floor.max(next_lsn);
-            if g.seg_records > 0 {
-                self.rotate_locked(&mut g)?;
-            }
-            let floor = g.snapshot_floor;
+            let g = self.lock();
+            let floor = g.snapshot_floor.max(next_lsn);
+            let mut g = self.seal_if(g, |g| g.seg_records > 0 && g.seg_base < floor)?;
+            g.snapshot_floor = floor;
             let (reclaimed, kept): (Vec<SealedSeg>, Vec<SealedSeg>) = std::mem::take(&mut g.sealed)
                 .into_iter()
                 .partition(|seg| seg.base + seg.records <= floor);
@@ -848,6 +872,24 @@ impl Log {
         g.spare = group;
         self.flushed.notify_all();
         g
+    }
+
+    /// Seals the active segment if `must_seal` holds once no flush is in
+    /// flight (a leader owns the active file while it flushes). Fails on
+    /// a dead log.
+    fn seal_if<'a>(
+        &'a self,
+        mut g: MutexGuard<'a, Inner>,
+        must_seal: impl Fn(&Inner) -> bool,
+    ) -> Result<MutexGuard<'a, Inner>, LogError> {
+        while g.flushing && must_seal(&g) {
+            g = self.flushed.wait(g).expect("durable log poisoned");
+        }
+        g.check_alive()?;
+        if must_seal(&g) {
+            self.rotate_locked(&mut g)?;
+        }
+        Ok(g)
     }
 
     /// Seals the active segment (already fsynced) and starts a fresh one

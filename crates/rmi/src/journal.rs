@@ -26,18 +26,30 @@
 //!
 //! ## Snapshots and truncation
 //!
-//! Every [`DurableOptions::snapshot_every`] executions the journal
-//! quiesces keyed dispatch (a write acquisition of the quiesce lock all
-//! keyed executions hold for read) just long enough to capture the
-//! server's state — reply cache (already shrunk by client ack
-//! watermarks), registry, leases, export-id horizon, registered
-//! [`DurableState`]s — together with the LSN it is the state *of*. Keyed
-//! traffic then resumes while the capture is encoded and handed to
-//! [`Log::write_snapshot`], which writes it beside the running log and
-//! garbage-collects every fully covered segment; executions journaled
-//! meanwhile sit above the snapshot's floor and replay over it. Acked
-//! replies are excluded by construction, so client acks are what
-//! ultimately drive segment reclamation.
+//! Every [`DurableOptions::snapshot_every`] executions, the dispatch
+//! thread whose execution crosses the cadence quiesces keyed dispatch (a
+//! write acquisition of the quiesce lock all keyed executions hold for
+//! read) just long enough to capture the server's state — reply cache
+//! (already shrunk by client ack watermarks), registry, leases, export-id
+//! horizon, registered [`DurableState`]s — together with the LSN it is
+//! the state *of* (the floor), and to seal the active log segment at that
+//! floor ([`Log::seal_segment`]). It then hands the capture to the
+//! journal's writer thread and releases its reply. The writer encodes the
+//! state and calls [`Log::write_snapshot`], which writes, fsyncs and
+//! renames the file beside the running log and garbage-collects every
+//! fully covered segment; executions journaled meanwhile sit above the
+//! floor and replay over it. Acked replies are excluded by construction,
+//! so client acks are what ultimately drive segment reclamation.
+//!
+//! At most one cadence snapshot is in progress. A crossing while another
+//! thread captures skips (that capture resets the count); a crossing while
+//! the writer still has the previous snapshot waits for it and checks the
+//! count again. So which snapshots exist, at which floors, and where the
+//! segments are cut depend on the execution sequence alone, never on how
+//! fast the disk writes. [`Journal::wait_snapshots`] blocks until the
+//! writer is idle, and dropping the journal lets the writer finish the
+//! snapshot in hand and joins it, so a journal never outlives its writer.
+//! [`Journal::snapshot_now`] captures and writes on the calling thread.
 //!
 //! ## Known limitations (documented, tested around)
 //!
@@ -53,15 +65,18 @@
 
 use std::cell::{Cell, RefCell};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use brmi_durable::{Log, LogConfig, LogError, LogStats};
+use brmi_obs::{Counter, Histogram};
+use brmi_transport::slot::OneShot;
 use brmi_wire::codec::{Decoder, Encoder, WireCodec};
 use brmi_wire::protocol::{Frame, IdemKey};
 use brmi_wire::{ObjectId, Value, WireError};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::replay::ClientReplayState;
 
@@ -85,9 +100,11 @@ pub trait DurableState: Send + Sync {
 pub struct DurableOptions {
     /// Passed through to the underlying [`Log`].
     pub log: LogConfig,
-    /// Write a compacted snapshot after this many keyed executions
+    /// Capture a compacted snapshot after this many keyed executions
     /// (`0` disables automatic snapshots; explicit
-    /// [`Journal::snapshot_now`] still works).
+    /// [`Journal::snapshot_now`] still works). The execution that crosses
+    /// the count pauses keyed dispatch for the capture; the journal's
+    /// writer thread writes the file.
     pub snapshot_every: u64,
 }
 
@@ -420,10 +437,10 @@ pub(crate) fn nanos_duration(n: u64) -> Duration {
 
 /// The live journal attached to an
 /// [`RmiServer`](crate::RmiServer) — owns the [`Log`], the quiesce lock
-/// that orders keyed execution against snapshot capture, and the
-/// snapshot cadence.
+/// that orders keyed execution against snapshot capture, the snapshot
+/// cadence and the thread that writes cadence snapshots.
 pub struct Journal {
-    log: Log,
+    log: Arc<Log>,
     dir: PathBuf,
     /// Keyed executions hold this for read around
     /// begin→execute→append→complete; snapshot capture takes it for
@@ -431,7 +448,65 @@ pub struct Journal {
     quiesce: RwLock<()>,
     snapshot_every: u64,
     executions_since_snapshot: AtomicU64,
-    snapshotting: AtomicBool,
+    cadence: Mutex<Cadence>,
+    /// Captures on their way to the writer; `None` once dropping.
+    jobs: Option<mpsc::Sender<SnapshotJob>>,
+    writer: Option<JoinHandle<()>>,
+    snapshot_pause: Histogram,
+    snapshot_write: Histogram,
+    snapshot_failures: Counter,
+}
+
+/// Where the cadence snapshot stands.
+enum Cadence {
+    /// No cadence snapshot is in progress.
+    Idle,
+    /// A dispatch thread is capturing. Crossings meanwhile skip: the
+    /// capture resets the count.
+    Capturing,
+    /// The writer has this capture queued or in hand until the slot is
+    /// filled; a filled slot is as good as [`Cadence::Idle`].
+    Writing(Arc<OneShot<()>>),
+}
+
+/// One capture handed to the writer: the state as of `floor`.
+struct SnapshotJob {
+    floor: u64,
+    state: SnapshotState,
+    written: Written,
+}
+
+/// Fills its slot when dropped: after the write, on a failed or
+/// panicking one, and for a job the writer never took. So nobody waits
+/// for a snapshot forever.
+struct Written(Arc<OneShot<()>>);
+
+impl Drop for Written {
+    fn drop(&mut self) {
+        self.0.set(());
+    }
+}
+
+/// The writer thread: encodes each capture and writes it through `log`.
+/// It holds the log and the metrics, never the journal or the server, so
+/// dropping the journal can close the channel and join it.
+fn write_snapshots(
+    log: &Log,
+    jobs: &mpsc::Receiver<SnapshotJob>,
+    write: &Histogram,
+    failures: &Counter,
+) {
+    for job in jobs {
+        let started = Instant::now();
+        if log
+            .write_snapshot(job.floor, &job.state.to_wire_bytes())
+            .is_err()
+        {
+            failures.inc();
+        }
+        write.record_nanos(started.elapsed());
+        drop(job.written);
+    }
 }
 
 impl std::fmt::Debug for Journal {
@@ -444,14 +519,39 @@ impl std::fmt::Debug for Journal {
 }
 
 impl Journal {
+    /// Wraps `log` and starts the snapshot writer thread (none when the
+    /// cadence is off).
     pub(crate) fn new(log: Log, dir: &Path, snapshot_every: u64) -> Arc<Journal> {
+        let log = Arc::new(log);
+        let snapshot_write = Histogram::new();
+        let snapshot_failures = Counter::new();
+        let (jobs, writer) = if snapshot_every == 0 {
+            (None, None)
+        } else {
+            let (jobs, queued) = mpsc::channel();
+            let (log, write, failures) = (
+                Arc::clone(&log),
+                snapshot_write.clone(),
+                snapshot_failures.clone(),
+            );
+            let writer = std::thread::Builder::new()
+                .name("brmi-snapshot-writer".into())
+                .spawn(move || write_snapshots(&log, &queued, &write, &failures))
+                .expect("spawn snapshot writer");
+            (Some(jobs), Some(writer))
+        };
         Arc::new(Journal {
             log,
             dir: dir.to_path_buf(),
             quiesce: RwLock::new(()),
             snapshot_every,
             executions_since_snapshot: AtomicU64::new(0),
-            snapshotting: AtomicBool::new(false),
+            cadence: Mutex::new(Cadence::Idle),
+            jobs,
+            writer,
+            snapshot_pause: Histogram::new(),
+            snapshot_write,
+            snapshot_failures,
         })
     }
 
@@ -470,9 +570,17 @@ impl Journal {
         self.log.stats()
     }
 
-    /// Registers the log's `durable_*` metric families with `registry`.
+    /// Registers the log's `durable_*` metric families with `registry`,
+    /// and the journal's own: `durable_snapshot_pause_nanos` (how long
+    /// keyed dispatch was held off per capture — quiesce wait, capture
+    /// and segment seal), `durable_snapshot_write_nanos` (the writer's
+    /// time per cadence snapshot) and `durable_snapshot_failures`
+    /// (cadence snapshots whose capture or write failed).
     pub fn register_metrics(&self, registry: &brmi_obs::Registry) {
         self.log.register_metrics(registry);
+        registry.register_histogram("durable_snapshot_pause_nanos", &[], &self.snapshot_pause);
+        registry.register_histogram("durable_snapshot_write_nanos", &[], &self.snapshot_write);
+        registry.register_counter("durable_snapshot_failures", &[], &self.snapshot_failures);
     }
 
     /// Enters a keyed execution: holds off snapshot capture until the
@@ -507,31 +615,74 @@ impl Journal {
         self.log.append_durable(&record.to_wire_bytes()).map(|_| ())
     }
 
-    /// Writes a snapshot now if the cadence says one is due and no other
-    /// thread is already writing one. Errors are swallowed: a crashed log
-    /// means the machine is down and every in-flight request is failing
-    /// anyway.
+    /// Captures a snapshot and hands it to the writer if the cadence says
+    /// one is due and no other thread is capturing one; waits first if
+    /// the writer still has the previous one. A failed capture or write
+    /// is counted in `durable_snapshot_failures`, never surfaced to the
+    /// request: its reply is already durable.
     pub(crate) fn maybe_snapshot(&self, server: &crate::RmiServer) {
-        if self.snapshot_every == 0 {
-            return;
+        let Some(jobs) = &self.jobs else { return };
+        loop {
+            if !self.snapshot_due() {
+                return;
+            }
+            let mut cadence = self.cadence.lock();
+            match &*cadence {
+                Cadence::Capturing => return,
+                Cadence::Writing(written) if written.try_get().is_none() => {
+                    let written = Arc::clone(written);
+                    drop(cadence);
+                    written.get();
+                }
+                // Re-checked under the lock: a capture that finished since
+                // the check above has reset the count.
+                _ if !self.snapshot_due() => return,
+                _ => {
+                    *cadence = Cadence::Capturing;
+                    break;
+                }
+            }
         }
-        if self.executions_since_snapshot.load(Ordering::Relaxed) < self.snapshot_every {
-            return;
+        match self.capture(server) {
+            Ok((floor, state)) => {
+                let written = Arc::new(OneShot::default());
+                *self.cadence.lock() = Cadence::Writing(Arc::clone(&written));
+                // A closed channel drops the job, which fills the slot.
+                let _ = jobs.send(SnapshotJob {
+                    floor,
+                    state,
+                    written: Written(written),
+                });
+            }
+            Err(_) => {
+                self.snapshot_failures.inc();
+                *self.cadence.lock() = Cadence::Idle;
+            }
         }
-        if self
-            .snapshotting
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return;
+    }
+
+    fn snapshot_due(&self) -> bool {
+        self.executions_since_snapshot.load(Ordering::Relaxed) >= self.snapshot_every
+    }
+
+    /// Blocks until the writer has no cadence snapshot queued or in hand:
+    /// every snapshot captured so far is then on disk (or counted as
+    /// failed) and the segments it covers are reclaimed. A capture still
+    /// running on a dispatch thread is not waited for.
+    pub fn wait_snapshots(&self) {
+        let pending = match &*self.cadence.lock() {
+            Cadence::Writing(written) => Some(Arc::clone(written)),
+            Cadence::Idle | Cadence::Capturing => None,
+        };
+        if let Some(written) = pending {
+            written.get();
         }
-        let _ = self.snapshot_now(server);
-        self.snapshotting.store(false, Ordering::SeqCst);
     }
 
     /// Writes a compacted snapshot of `server`'s durable state and
-    /// garbage-collects the log segments it covers. Keyed execution is
-    /// quiesced only while the state is captured; encoding it and writing
+    /// garbage-collects the log segments it covers, on the calling
+    /// thread. Keyed execution is quiesced only while the state is
+    /// captured and the active segment sealed; encoding it and writing
     /// the file happen with traffic running.
     ///
     /// # Errors
@@ -539,7 +690,16 @@ impl Journal {
     /// [`LogError`] from the underlying log (including an injected
     /// crash).
     pub fn snapshot_now(&self, server: &crate::RmiServer) -> Result<(), LogError> {
-        let (floor, state) = {
+        let (floor, state) = self.capture(server)?;
+        self.log.write_snapshot(floor, &state.to_wire_bytes())
+    }
+
+    /// Quiesces keyed dispatch, captures the state as of the current
+    /// floor, resets the cadence count and seals the active segment at
+    /// the floor. Records the pause in `durable_snapshot_pause_nanos`.
+    fn capture(&self, server: &crate::RmiServer) -> Result<(u64, SnapshotState), LogError> {
+        let started = Instant::now();
+        let captured = {
             let _pause = self.quiesce.write();
             // No keyed execution is in flight, and each one that finished
             // made its record durable before releasing the lock, so the
@@ -551,9 +711,24 @@ impl Journal {
             let floor = self.log.next_lsn();
             let state = server.capture_snapshot_state();
             self.executions_since_snapshot.store(0, Ordering::Relaxed);
-            (floor, state)
+            // Sealing before keyed traffic resumes keeps every later
+            // keyed record out of the segments this snapshot covers.
+            self.log.seal_segment(floor).map(|()| (floor, state))
         };
-        self.log.write_snapshot(floor, &state.to_wire_bytes())
+        self.snapshot_pause.record_nanos(started.elapsed());
+        captured
+    }
+}
+
+impl Drop for Journal {
+    fn drop(&mut self) {
+        // Closing the channel lets the writer finish the snapshot in
+        // hand and exit; joining it means nothing writes to the
+        // directory once the journal is gone.
+        self.jobs = None;
+        if let Some(writer) = self.writer.take() {
+            let _ = writer.join();
+        }
     }
 }
 

@@ -566,7 +566,8 @@ impl RmiServer {
 
     /// The durable keyed path: execute under the journal's quiesce lock,
     /// journal `(key, request, reply)` durably before the reply escapes,
-    /// then (outside the lock) write a compacted snapshot if one is due.
+    /// then (outside the lock) capture a compacted snapshot if one is due
+    /// and hand it to the journal's writer thread.
     ///
     /// `request` is the bare request the key named (`key: None`), owned
     /// because the journal outlives the frame buffer: it is executed from

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use brmi_durable::{CrashPoint, LogConfig, TempDir};
+use brmi_obs::{Registry, Snapshot};
 use brmi_rmi::{
     no_such_method, CallCtx, DgcConfig, DurableOptions, DurableState, InArg, OutValue,
     RemoteObject, RmiServer,
@@ -374,4 +375,216 @@ fn crash_mid_workload_never_double_executes() {
         );
     }
     assert_eq!(counter.value(), 6);
+}
+
+/// Every other hit captures a snapshot, seals the segment and hands the
+/// file to the writer thread.
+fn snapshot_every_two() -> DurableOptions {
+    DurableOptions {
+        snapshot_every: 2,
+        ..DurableOptions::default()
+    }
+}
+
+fn snapshot_temp_files(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .expect("read journal dir")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.ends_with(".snap.tmp"))
+        .collect()
+}
+
+#[test]
+fn a_journal_never_outlives_its_snapshot_writer() {
+    const ROUNDS: u64 = 50;
+    const HITS_PER_ROUND: u64 = 4;
+    let dir = TempDir::new("writer-lifecycle");
+    let mut last: Option<(u64, Frame)> = None;
+    for round in 0..ROUNDS {
+        let hits = round * HITS_PER_ROUND;
+        let (server, counter, id) = setup();
+        server
+            .attach_durable(dir.path(), snapshot_every_two())
+            .expect("attach");
+        assert_eq!(counter.value(), hits as i64, "round {round}");
+        if let Some((seq, reply)) = &last {
+            assert_eq!(&hit(&server, id, *seq), reply, "round {round}");
+            assert_eq!(counter.value(), hits as i64, "round {round}: replayed");
+            assert_eq!(server.reply_cache().replays(), 1, "round {round}");
+        }
+        // The last hit of the round crosses the cadence, so the server
+        // is dropped with that snapshot just handed to the writer.
+        for seq in hits..hits + HITS_PER_ROUND {
+            last = Some((seq, hit(&server, id, seq)));
+        }
+        drop(server);
+        assert_eq!(
+            snapshot_temp_files(dir.path()),
+            Vec::<String>::new(),
+            "round {round}: a snapshot was still being written after the drop"
+        );
+    }
+}
+
+#[test]
+fn a_failed_background_snapshot_is_counted_and_not_a_lost_reply() {
+    let dir = TempDir::new("snapshot-io-error");
+    let options = DurableOptions {
+        snapshot_every: 4,
+        ..DurableOptions::default()
+    };
+    {
+        let (server, counter, id) = setup();
+        server.attach_durable(dir.path(), options).expect("attach");
+        let journal = server.journal().expect("journal");
+        let registry = Registry::new();
+        journal.register_metrics(&registry);
+        for seq in 0..3 {
+            hit(&server, id, seq);
+        }
+        // Sequential hits write equal-sized records, so the fourth
+        // record's bytes are known; the fault lands 4 bytes into the
+        // snapshot file that fourth hit hands to the writer.
+        let record_bytes = journal.stats().bytes / 3;
+        journal
+            .log()
+            .arm_crash(CrashPoint::io_error_at_byte(record_bytes + 4));
+        assert_eq!(
+            hit(&server, id, 3),
+            Frame::Return(Value::I64(4)),
+            "the crossing call gets its normal reply"
+        );
+        journal.wait_snapshots();
+        let failures =
+            |registry: &Registry| registry.snapshot().counter("durable_snapshot_failures");
+        assert_eq!(failures(&registry), 1);
+        assert_eq!(journal.stats().snapshots, 0);
+        assert_eq!(
+            snapshot_temp_files(dir.path()),
+            Vec::<String>::new(),
+            "the failed write removed its partial file"
+        );
+        assert!(
+            !journal.log().is_crashed(),
+            "an I/O fault keeps the machine up"
+        );
+
+        for seq in 4..8 {
+            assert_eq!(
+                hit(&server, id, seq),
+                Frame::Return(Value::I64(seq as i64 + 1)),
+                "later keyed calls succeed"
+            );
+        }
+        journal.wait_snapshots();
+        assert_eq!(failures(&registry), 1);
+        assert_eq!(journal.stats().snapshots, 1, "the next cadence wrote one");
+        assert_eq!(counter.value(), 8);
+    }
+
+    let (server, counter, id) = setup();
+    let report = server.attach_durable(dir.path(), options).expect("recover");
+    assert!(report.restored_snapshot, "{report:?}");
+    assert_eq!(report.replayed_executions, 0, "the snapshot covers all 8");
+    assert_eq!(counter.value(), 8);
+    assert_eq!(hit(&server, id, 3), Frame::Return(Value::I64(4)));
+    assert_eq!(counter.value(), 8);
+}
+
+/// What one crashed run left behind.
+struct CrashedRun {
+    /// Replies acknowledged before the first failure, by seq.
+    acked: Vec<Frame>,
+    /// Bytes that reached the write path.
+    bytes: u64,
+    /// Cadence snapshots whose capture or write the cut failed.
+    snapshot_failures: u64,
+}
+
+/// Runs `hits` sequential keyed hits against a fresh journal in `dir`,
+/// with `crash` armed from the start, until the first failure.
+fn hits_until_crash(dir: &TempDir, hits: u64, crash: Arc<CrashPoint>) -> CrashedRun {
+    let (server, _counter, id) = setup();
+    server
+        .attach_durable(dir.path(), snapshot_every_two())
+        .expect("attach");
+    let journal = server.journal().expect("journal");
+    let registry = Registry::new();
+    journal.register_metrics(&registry);
+    journal.log().arm_crash(crash);
+    let mut acked = Vec::new();
+    for seq in 0..hits {
+        match hit(&server, id, seq) {
+            reply @ Frame::Return(_) => acked.push(reply),
+            Frame::Error(env) => {
+                assert_eq!(env.kind, "transport", "seq {seq}: {env:?}");
+                break;
+            }
+            other => panic!("seq {seq}: unexpected reply {other:?}"),
+        }
+    }
+    journal.wait_snapshots();
+    CrashedRun {
+        acked,
+        bytes: journal.stats().bytes,
+        snapshot_failures: registry.snapshot().counter("durable_snapshot_failures"),
+    }
+}
+
+#[test]
+fn power_cuts_while_snapshots_are_written_beside_keyed_traffic() {
+    const HITS: u64 = 16;
+    let total = {
+        let dir = TempDir::new("snapshot-cut-reference");
+        let run = hits_until_crash(&dir, HITS, CrashPoint::never());
+        assert_eq!(run.acked.len() as u64, HITS);
+        assert_eq!(run.snapshot_failures, 0);
+        run.bytes
+    };
+    // About 90 cuts over the whole stream: record frames and snapshot
+    // files alike, in whatever order the writer interleaves them.
+    let stride = (total / 90).max(1);
+    let mut cut_in_snapshots = 0;
+    for offset in (0..total).step_by(stride as usize) {
+        let dir = TempDir::new("snapshot-cut");
+        let CrashedRun {
+            acked,
+            snapshot_failures,
+            ..
+        } = hits_until_crash(&dir, HITS, CrashPoint::at_byte(offset));
+        cut_in_snapshots += snapshot_failures;
+        let acked_hits = acked.len() as i64;
+
+        let (server, counter, id) = setup();
+        let report = server
+            .attach_durable(dir.path(), snapshot_every_two())
+            .unwrap_or_else(|err| panic!("cut at byte {offset}: recover: {err}"));
+        let recovered = counter.value();
+        assert!(
+            (acked_hits..=acked_hits + 1).contains(&recovered),
+            "cut at byte {offset}: {acked_hits} acknowledged, {recovered} recovered ({report:?})"
+        );
+        for (seq, reply) in acked.iter().enumerate() {
+            assert_eq!(
+                &hit(&server, id, seq as u64),
+                reply,
+                "cut at byte {offset}: seq {seq} replays"
+            );
+        }
+        assert_eq!(
+            counter.value(),
+            recovered,
+            "cut at byte {offset}: an acknowledged key executed again"
+        );
+    }
+    assert!(
+        cut_in_snapshots > 0,
+        "no cut landed while a snapshot was captured or written"
+    );
 }
