@@ -13,7 +13,7 @@ use brmi_apps::bank::{
     brmi_purchase_session, rmi_purchase_session, Bank, CreditManagerSkeleton, CreditManagerStub,
 };
 use brmi_rmi::{Connection, RmiServer};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 use brmi_wire::RemoteError;
 
 fn main() -> Result<(), RemoteError> {
@@ -23,7 +23,7 @@ fn main() -> Result<(), RemoteError> {
     bank.open_account("alice", 1_000.0);
     server.bind("bank", CreditManagerSkeleton::remote_arc(bank))?;
 
-    let transport = InProcTransport::new(server.clone());
+    let transport = SimTransport::in_process(server.clone());
     let stats = transport.stats();
     let conn = Connection::new(Arc::new(transport));
     let manager = conn.lookup("bank")?;

@@ -14,7 +14,7 @@ use brmi_apps::list::{
 };
 use brmi_rmi::{Connection, DgcConfig, LeaseHolder, RmiServer};
 use brmi_transport::clock::{Clock, VirtualClock};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 use brmi_wire::RemoteError;
 
 fn main() -> Result<(), RemoteError> {
@@ -32,7 +32,7 @@ fn main() -> Result<(), RemoteError> {
         "list",
         RemoteListSkeleton::remote_arc(ListNode::chain(&values)),
     )?;
-    let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
     let head = conn.lookup("list")?;
 
     println!("traversing 5 hops of a remote linked list\n");

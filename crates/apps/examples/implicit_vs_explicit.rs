@@ -18,7 +18,7 @@ use brmi_apps::fileserver::{
 };
 use brmi_apps::implicit_clients::{implicit_listing, implicit_listing_restructured};
 use brmi_rmi::{Connection, RmiServer};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 use brmi_wire::RemoteError;
 
 fn main() -> Result<(), RemoteError> {
@@ -28,7 +28,7 @@ fn main() -> Result<(), RemoteError> {
     BatchExecutor::install(&server);
     server.bind("files", DirectorySkeleton::remote_arc(directory))?;
 
-    let transport = InProcTransport::new(server.clone());
+    let transport = SimTransport::in_process(server.clone());
     let stats = transport.stats();
     let conn = Connection::new(Arc::new(transport));
     let root = conn.lookup("files")?;

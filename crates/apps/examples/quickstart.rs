@@ -10,7 +10,7 @@ use std::sync::Arc;
 use brmi::policy::AbortPolicy;
 use brmi::{remote_interface, Batch, BatchExecutor};
 use brmi_rmi::{Connection, RmiServer};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 use brmi_wire::RemoteError;
 
 remote_interface! {
@@ -49,7 +49,7 @@ fn main() -> Result<(), RemoteError> {
     )?;
 
     // --- client side -----------------------------------------------------
-    let transport = InProcTransport::new(server.clone());
+    let transport = SimTransport::in_process(server.clone());
     let stats = transport.stats();
     let conn = Connection::new(Arc::new(transport));
     let remote = conn.lookup("greeter")?;

@@ -24,15 +24,15 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use brmi::BatchExecutor;
 use brmi_durable::{LogConfig, TempDir};
 use brmi_obs::{MetricsSnapshot, Registry, Snapshot};
 use brmi_rmi::{Connection, DurableOptions, DurableReport, KeySource, RmiServer};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 use brmi_transport::Transport;
-use brmi_wire::RemoteError;
+use brmi_wire::{RemoteError, RemoteErrorKind};
 
-use crate::noop::{brmi_noops, NoopServer, NoopSkeleton};
+use crate::noop::brmi_noops;
+use crate::testkit::NoopOrigin;
 
 /// Shape of one durable stress run.
 #[derive(Debug, Clone)]
@@ -114,23 +114,11 @@ impl DurableStressReport {
     }
 }
 
-/// The deterministic setup phase, identical for every incarnation (the
-/// `attach_durable` contract).
-fn noop_origin() -> (Arc<RmiServer>, Arc<NoopServer>) {
-    let server = RmiServer::new();
-    BatchExecutor::install(&server);
-    let noop = NoopServer::new();
-    server
-        .bind("noop", NoopSkeleton::remote_arc(noop.clone()))
-        .expect("fresh origin bind");
-    (server, noop)
-}
-
 /// Runs the keyed workload: sequential clients with pinned ids, one
 /// keyed lookup plus `batches_per_client` keyed flushes each.
 fn run_clients(server: &Arc<RmiServer>, config: &DurableStressConfig) -> Result<(), RemoteError> {
     for client in 0..config.clients {
-        let transport = Arc::new(InProcTransport::new(server.clone())) as Arc<dyn Transport>;
+        let transport = Arc::new(SimTransport::in_process(server.clone())) as Arc<dyn Transport>;
         let conn = Connection::with_key_source(
             transport,
             KeySource::with_client_id(0xD0_0000 + client as u64),
@@ -162,16 +150,18 @@ fn durable_options(config: &DurableStressConfig) -> DurableOptions {
 pub fn run_durable_stress(
     config: &DurableStressConfig,
 ) -> Result<DurableStressReport, RemoteError> {
-    // Phase 1: the in-memory twin — same workload, no journal.
-    let (twin, _twin_noop) = noop_origin();
+    // Every incarnation runs the same deterministic setup (the
+    // `attach_durable` contract). Phase 1: the in-memory twin — same
+    // workload, no journal.
+    let twin = NoopOrigin::new();
     let started = Instant::now();
-    run_clients(&twin, config)?;
+    run_clients(&twin.server, config)?;
     let elapsed_memory = started.elapsed();
 
     // Phase 2: the journaled origin. The tempdir guard removes the log
     // even when an assert below panics.
     let dir = TempDir::new("durable-stress");
-    let (server, noop) = noop_origin();
+    let NoopOrigin { server, noop, .. } = NoopOrigin::new();
     server
         .attach_durable(dir.path(), durable_options(config))
         .map_err(|err| RemoteError::transport(format!("attach durable log: {err}")))?;
@@ -189,11 +179,24 @@ pub fn run_durable_stress(
     let stats = journal.stats();
     let segments_after = journal.log().segment_count() as u64;
     let calls_executed = noop.calls();
+    // The workload is identical and deterministic, so any difference is a
+    // lost or doubled execution.
+    let twin_calls = twin.noop.calls();
+    if twin_calls != calls_executed {
+        return Err(RemoteError::new(
+            RemoteErrorKind::Protocol,
+            format!(
+                "the journaled origin executed {calls_executed} calls and its in-memory twin \
+                 {twin_calls}"
+            ),
+        ));
+    }
 
     // Phase 3: recovery — a fresh incarnation reopens the directory.
-    let (recovered, recovered_noop) = noop_origin();
+    let recovered = NoopOrigin::new();
     let started = Instant::now();
     let recovery = recovered
+        .server
         .attach_durable(dir.path(), durable_options(config))
         .map_err(|err| RemoteError::transport(format!("recover durable log: {err}")))?;
     let elapsed_recovery = started.elapsed();
@@ -207,7 +210,7 @@ pub fn run_durable_stress(
         snapshots: stats.snapshots,
         segments_after,
         recovery,
-        calls_replayed: recovered_noop.calls(),
+        calls_replayed: recovered.noop.calls(),
         metrics: registry.snapshot().deterministic_only(),
         elapsed_memory,
         elapsed_durable,

@@ -23,22 +23,23 @@
 //! [`BatchFetcher`]: brmi_transport::fetcher::BatchFetcher
 //! [`ExecutorStats`]: brmi::executor::ExecutorStats
 
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use brmi::policy::AbortPolicy;
 use brmi::{Batch, BatchExecutor};
 use brmi_obs::{MetricsSnapshot, Registry, Snapshot};
 use brmi_rmi::{Connection, RemoteRef, RmiServer};
 use brmi_transport::fetcher::BatchFetcher;
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::relay::ReadCachePolicy;
+use brmi_transport::sim::SimTransport;
 use brmi_transport::RequestHandler;
 use brmi_wire::{MethodRegistry, RemoteError};
 
 use crate::bank::{
     BCreditCard, Bank, CreditCard, CreditCardSkeleton, CreditManagerSkeleton, CreditManagerStub,
 };
+use crate::testkit::run_wave;
 
 /// Shape of one fetcher stress run.
 #[derive(Debug, Clone)]
@@ -193,7 +194,7 @@ pub fn run_fetcher_stress(
         Some(fetcher) => Arc::clone(fetcher) as Arc<dyn RequestHandler>,
         None => Arc::clone(&origin_handler),
     };
-    let transport = Arc::new(InProcTransport::new(serving));
+    let transport = Arc::new(SimTransport::in_process(serving));
 
     // Resolve the hot accounts once (plain RMI lookups — these are not
     // batched calls, so they never count as origin executions) and warm
@@ -211,35 +212,11 @@ pub fn run_fetcher_stress(
     read_hot_keys(&conn, &refs)?;
 
     // Concurrent phase: every client rereads the hot set repeatedly.
-    let gate = Arc::new(Barrier::new(config.clients + 1));
-    let handles: Vec<_> = (0..config.clients)
-        .map(|_| {
-            let conn = conn.clone();
-            let refs = refs.clone();
-            let gate = Arc::clone(&gate);
-            let batches = config.batches_per_client;
-            std::thread::spawn(move || -> Result<(), RemoteError> {
-                gate.wait();
-                for _ in 0..batches {
-                    read_hot_keys(&conn, &refs)?;
-                }
-                Ok(())
-            })
-        })
-        .collect();
-    gate.wait();
-    let started = Instant::now();
-    let mut first_error: Option<RemoteError> = None;
-    for handle in handles {
-        match handle.join().expect("fetcher stress client panicked") {
-            Ok(()) => {}
-            Err(err) => first_error = first_error.or(Some(err)),
-        }
-    }
-    let elapsed = started.elapsed();
-    if let Some(err) = first_error {
-        return Err(err);
-    }
+    let batches = config.batches_per_client;
+    let (conn, refs) = (&conn, &refs);
+    let elapsed = run_wave(config.clients, || {
+        Ok(move || (0..batches).try_for_each(|_| read_hot_keys(conn, refs)))
+    })?;
 
     let registry = Registry::new();
     executor.register_metrics(&registry);

@@ -18,7 +18,7 @@ remote_interface! {
 }
 
 /// Counting no-op server, so tests can verify each call really executed.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct NoopServer {
     calls: AtomicU64,
 }

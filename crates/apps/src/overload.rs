@@ -25,9 +25,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use brmi_obs::Histogram;
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::reactor::{ReactorConfig, ReactorServer};
 use brmi_transport::relay::{AdaptivePolicy, BatchRelay, RelayPolicy};
+use brmi_transport::sim::SimTransport;
 use brmi_transport::{Clock, RequestHandler, VirtualClock};
 use brmi_wire::invocation::{
     BatchRequest, BatchResponse, CallSeq, InvocationData, PolicySpec, SlotOutcome, Target,
@@ -63,16 +63,6 @@ pub struct AdmissionReport {
     pub accept_failures: u64,
     /// Wall-clock duration of the connect-and-verify phase.
     pub elapsed: Duration,
-}
-
-/// Handler for the admission run: admitted clients never send a request,
-/// so it only has to exist.
-struct NullHandler;
-
-impl RequestHandler for NullHandler {
-    fn handle(&self, _frame: Frame) -> Frame {
-        Frame::Return(Value::Null)
-    }
 }
 
 fn transport_err(err: std::io::Error) -> RemoteError {
@@ -125,7 +115,7 @@ fn read_raw_frame(stream: &mut TcpStream) -> Result<Option<Frame>, RemoteError> 
 pub fn run_admission_stress(config: &AdmissionConfig) -> Result<AdmissionReport, RemoteError> {
     let server = ReactorServer::bind_with(
         "127.0.0.1:0",
-        Arc::new(NullHandler),
+        Arc::new(NullOrigin),
         ReactorConfig {
             reactor_threads: 1,
             max_connections: config.max_connections,
@@ -275,8 +265,9 @@ pub struct ConvergencePoint {
     pub expected_delay_nanos: u64,
 }
 
-/// Origin double for the convergence sweep: answers every (super-)batch
-/// with one `Ok(Null)` per call.
+/// Origin double: answers every (super-)batch with one `Ok(Null)` per call.
+/// The convergence sweep relays to it; behind the admission run it only
+/// has to exist, since admitted clients never send a request.
 struct NullOrigin;
 
 impl NullOrigin {
@@ -345,7 +336,7 @@ pub fn run_adaptive_convergence(
     interarrivals
         .iter()
         .map(|&interarrival| {
-            let upstream = Arc::new(InProcTransport::new(Arc::new(NullOrigin)));
+            let upstream = Arc::new(SimTransport::in_process(Arc::new(NullOrigin)));
             let clock = VirtualClock::new();
             let relay = BatchRelay::with_time_source(
                 upstream,

@@ -24,18 +24,18 @@
 //! the committed `BENCH_relay.json` baseline; wall-clock throughput is
 //! reported alongside for humans.
 
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use brmi::BatchExecutor;
-use brmi_rmi::{Connection, RemoteRef, RmiServer};
+use brmi_rmi::Connection;
 use brmi_transport::pool::TcpPool;
 use brmi_transport::reactor::{ReactorConfig, ReactorServer};
 use brmi_transport::relay::{BatchRelay, RelayPolicy};
 use brmi_transport::Transport;
 use brmi_wire::RemoteError;
 
-use crate::noop::{brmi_noops, NoopServer, NoopSkeleton};
+use crate::noop::brmi_noops;
+use crate::testkit::{run_wave, NoopOrigin};
 
 /// Shape of one relay stress run.
 #[derive(Debug, Clone)]
@@ -141,21 +141,8 @@ impl RelayStressReport {
 /// Panics when a client thread itself panics.
 pub fn run_relay_stress(config: &RelayStressConfig) -> Result<RelayStressReport, RemoteError> {
     // Origin: reactor-served RMI server with batching installed.
-    let origin = RmiServer::new();
-    BatchExecutor::install(&origin);
-    let noop = NoopServer::new();
-    origin
-        .bind("noop", NoopSkeleton::remote_arc(noop.clone()))
-        .expect("fresh origin bind");
-    let reactor = ReactorServer::bind_with(
-        "127.0.0.1:0",
-        origin,
-        ReactorConfig {
-            reactor_threads: config.reactor_threads,
-            dispatch_workers: 0,
-            ..ReactorConfig::default()
-        },
-    )?;
+    let origin = NoopOrigin::new();
+    let reactor = origin.serve(config.reactor_threads)?;
 
     // Edge: a relay over a pooled upstream, served by a second reactor
     // whose worker pool absorbs the blocking flush-waits.
@@ -182,59 +169,31 @@ pub fn run_relay_stress(config: &RelayStressConfig) -> Result<RelayStressReport,
     let pool = Arc::new(TcpPool::connect(edge.local_addr())?);
     let edge_stats = pool.stats();
 
-    let start_gate = Arc::new(Barrier::new(config.clients + 1));
-    let mut first_error: Option<RemoteError> = None;
-
-    let handles: Vec<_> = (0..config.clients)
-        .map(|_| {
-            let pool = Arc::clone(&pool);
-            let gate = Arc::clone(&start_gate);
-            let batches = config.batches_per_client;
-            let calls = config.calls_per_batch;
-            std::thread::spawn(move || -> Result<(), RemoteError> {
-                let conn = Connection::new(pool);
-                let root: RemoteRef = conn.lookup("noop")?;
-                gate.wait();
-                for _ in 0..batches {
-                    brmi_noops(&conn, &root, calls)?;
-                }
-                Ok(())
-            })
-        })
-        .collect();
-
-    start_gate.wait();
-    let started = Instant::now();
-    for handle in handles {
-        match handle.join().expect("relay stress client panicked") {
-            Ok(()) => {}
-            Err(err) => first_error = first_error.or(Some(err)),
-        }
-    }
-    let elapsed = started.elapsed();
+    let (batches, calls) = (config.batches_per_client, config.calls_per_batch);
+    let wave = run_wave(config.clients, || {
+        let conn = Connection::new(pool.clone());
+        let root = conn.lookup("noop")?;
+        Ok(move || (0..batches).try_for_each(|_| brmi_noops(&conn, &root, calls)))
+    });
 
     let relay_stats = relay.stats();
-    let report = RelayStressReport {
+    let report = wave.map(|elapsed| RelayStressReport {
         config: config.clone(),
         origin_round_trips: upstream_stats.requests(),
         edge_round_trips: edge_stats.requests(),
         upstream_flushes: relay_stats.upstream_flushes(),
         largest_group: relay_stats.largest_group(),
-        calls_executed: noop.calls(),
+        calls_executed: origin.noop.calls(),
         upstream_bytes_sent: upstream_stats.bytes_sent(),
         upstream_bytes_received: upstream_stats.bytes_received(),
         edge_bytes_sent: edge_stats.bytes_sent(),
         elapsed,
-    };
+    });
 
     // Tear down in topology order: edge listener, relay flusher, origin.
     edge.shutdown();
     relay.shutdown();
-
-    if let Some(err) = first_error {
-        return Err(err);
-    }
-    Ok(report)
+    report
 }
 
 #[cfg(test)]

@@ -4,14 +4,15 @@
 //! latency across many calls; this module supplies the missing half of
 //! that argument at scale — *many concurrent clients* driving batches at
 //! one server. N client threads share one [`TcpPool`] (each round trip
-//! checks out its own pooled socket) against a [`ReactorServer`] running a
+//! checks out its own pooled socket) against a
+//! [`ReactorServer`](brmi_transport::reactor::ReactorServer) running a
 //! fixed number of event-loop threads, so the server multiplexes every
 //! connection without a thread per client.
 //!
 //! The workload is deterministic by construction — fixed batch shapes over
 //! the no-op service — so the *count* outputs of a run (round trips, calls
 //! executed, bytes on the wire) are exactly reproducible and serve as the
-//! committed baseline for the `reactor_stress` bench binary; wall-clock
+//! committed baseline of the `brmi-bench reactor` sweep; wall-clock
 //! throughput is reported alongside for humans.
 //!
 //! [`run_mux_stress`] is the client-side mirror: the *same* caller
@@ -22,24 +23,22 @@
 //! socket and write-syscall counts are deterministic and form the
 //! committed `BENCH_mux.json` baseline.
 
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use brmi::BatchExecutor;
 use brmi_obs::{MetricsSnapshot, Registry, Snapshot};
-use brmi_rmi::RmiServer;
-use brmi_rmi::{Connection, RemoteRef};
+use brmi_rmi::Connection;
 use brmi_transport::fault::{FaultPlan, FaultPoint, FaultyTransport};
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::mux::MuxClient;
 use brmi_transport::pool::TcpPool;
-use brmi_transport::reactor::{ReactorConfig, ReactorServer};
 use brmi_transport::retry::{RetryPolicy, RetryTransport};
-use brmi_transport::{Transport, TransportStats};
+use brmi_transport::sim::SimTransport;
+use brmi_transport::Transport;
 use brmi_wire::protocol::Frame;
-use brmi_wire::{ObjectId, RemoteError};
+use brmi_wire::{ObjectId, RemoteError, RemoteErrorKind};
 
-use crate::noop::{brmi_noops, NoopServer, NoopSkeleton};
+use crate::noop::brmi_noops;
+use crate::testkit::{run_wave, NoopOrigin};
 
 /// Shape of one stress run.
 #[derive(Debug, Clone)]
@@ -112,71 +111,29 @@ impl StressReport {
 ///
 /// Panics when a client thread itself panics.
 pub fn run_reactor_stress(config: &StressConfig) -> Result<StressReport, RemoteError> {
-    let server = RmiServer::new();
-    let executor = BatchExecutor::install(&server);
-    let noop = NoopServer::new();
-    server
-        .bind("noop", NoopSkeleton::remote_arc(noop.clone()))
-        .expect("fresh server bind");
-    let reactor = ReactorServer::bind_with(
-        "127.0.0.1:0",
-        server.clone() as Arc<dyn brmi_transport::RequestHandler>,
-        ReactorConfig {
-            reactor_threads: config.reactor_threads,
-            dispatch_workers: 0,
-            ..ReactorConfig::default()
-        },
-    )?;
-
+    let origin = NoopOrigin::new();
+    let reactor = origin.serve(config.reactor_threads)?;
     let pool = Arc::new(TcpPool::connect(reactor.local_addr())?);
     let stats = pool.stats();
     let registry = Registry::new();
     pool.register_metrics(&registry);
     reactor.register_metrics(&registry);
-    executor.register_metrics(&registry);
-    server.reply_cache().register_metrics(&registry);
+    origin.executor.register_metrics(&registry);
+    origin.server.reply_cache().register_metrics(&registry);
 
     // All clients arm before any starts, so the measured window really has
     // `clients` concurrent request streams.
-    let start_gate = Arc::new(Barrier::new(config.clients + 1));
-    let mut first_error: Option<RemoteError> = None;
-
-    let handles: Vec<_> = (0..config.clients)
-        .map(|_| {
-            let pool = Arc::clone(&pool);
-            let gate = Arc::clone(&start_gate);
-            let batches = config.batches_per_client;
-            let calls = config.calls_per_batch;
-            std::thread::spawn(move || -> Result<(), RemoteError> {
-                let conn = Connection::new(pool);
-                let root: RemoteRef = conn.lookup("noop")?;
-                gate.wait();
-                for _ in 0..batches {
-                    brmi_noops(&conn, &root, calls)?;
-                }
-                Ok(())
-            })
-        })
-        .collect();
-
-    start_gate.wait();
-    let started = Instant::now();
-    for handle in handles {
-        match handle.join().expect("stress client panicked") {
-            Ok(()) => {}
-            Err(err) => first_error = first_error.or(Some(err)),
-        }
-    }
-    let elapsed = started.elapsed();
-
-    if let Some(err) = first_error {
-        return Err(err);
-    }
+    let (batches, calls) = (config.batches_per_client, config.calls_per_batch);
+    let elapsed = run_wave(config.clients, || {
+        let conn = Connection::new(pool.clone());
+        let root = conn.lookup("noop")?;
+        Ok(move || (0..batches).try_for_each(|_| brmi_noops(&conn, &root, calls)))
+    })?;
 
     Ok(StressReport {
         config: config.clone(),
         round_trips: stats.requests(),
-        calls_executed: noop.calls(),
+        calls_executed: origin.noop.calls(),
         bytes_sent: stats.bytes_sent(),
         bytes_received: stats.bytes_received(),
         metrics: registry.snapshot().deterministic_only(),
@@ -266,39 +223,6 @@ impl MuxStressReport {
     }
 }
 
-/// Binds a fresh reactor-served no-op origin for one phase.
-fn noop_origin(reactor_threads: usize) -> Result<(ReactorServer, Arc<NoopServer>), RemoteError> {
-    let server = RmiServer::new();
-    BatchExecutor::install(&server);
-    let noop = NoopServer::new();
-    server
-        .bind("noop", NoopSkeleton::remote_arc(noop.clone()))
-        .expect("fresh server bind");
-    let reactor = ReactorServer::bind_with(
-        "127.0.0.1:0",
-        server,
-        ReactorConfig {
-            reactor_threads,
-            dispatch_workers: 0,
-            ..ReactorConfig::default()
-        },
-    )?;
-    Ok((reactor, noop))
-}
-
-/// Joins the caller threads, surfacing the first error (panics propagate).
-fn join_callers(
-    handles: Vec<std::thread::JoinHandle<Result<(), RemoteError>>>,
-) -> Result<(), RemoteError> {
-    let mut first_error = None;
-    for handle in handles {
-        if let Err(err) = handle.join().expect("mux stress caller panicked") {
-            first_error = first_error.or(Some(err));
-        }
-    }
-    first_error.map_or(Ok(()), Err)
-}
-
 /// Runs the same caller population over one multiplexed socket and then
 /// over the pooled baseline, against fresh reactor origins, and reports
 /// the socket/syscall economics of each.
@@ -328,73 +252,62 @@ pub fn run_mux_stress(config: &MuxStressConfig) -> Result<MuxStressReport, Remot
         }
     };
 
+    let (bursts, calls) = (config.bursts_per_caller, config.calls_per_burst);
+
     // Phase 1: every caller multiplexed over ONE socket, bursts pipelined.
-    let (mux_reactor, mux_noop) = noop_origin(config.reactor_threads)?;
+    let mux_origin = NoopOrigin::new();
+    let mux_reactor = mux_origin.serve(config.reactor_threads)?;
     let mux = MuxClient::connect(mux_reactor.local_addr())?;
     let target = Connection::new(mux.clone() as Arc<dyn Transport>)
         .lookup("noop")?
         .id();
     let mux_sockets = mux_reactor.active_connections() as u64;
-    let gate = Arc::new(Barrier::new(config.callers + 1));
-    let handles: Vec<_> = (0..config.callers)
-        .map(|_| {
-            let mux = Arc::clone(&mux);
-            let gate = Arc::clone(&gate);
-            let (bursts, calls) = (config.bursts_per_caller, config.calls_per_burst);
-            std::thread::spawn(move || -> Result<(), RemoteError> {
-                let frames: Vec<Frame> = (0..calls).map(|_| noop_call(target)).collect();
-                gate.wait();
-                for _ in 0..bursts {
-                    // One vectored write ships the whole burst; replies are
-                    // claimed as they land in the per-call slots.
-                    for pending in mux.call_burst(&frames)? {
-                        expect_return(pending.wait()?)?;
-                    }
+    let elapsed_mux = run_wave(config.callers, || {
+        let mux = &mux;
+        let frames: Vec<Frame> = (0..calls).map(|_| noop_call(target)).collect();
+        Ok(move || {
+            for _ in 0..bursts {
+                // One vectored write ships the whole burst; replies are
+                // claimed as they land in the per-call slots.
+                for pending in mux.call_burst(&frames)? {
+                    expect_return(pending.wait()?)?;
                 }
-                Ok(())
-            })
+            }
+            Ok(())
         })
-        .collect();
-    gate.wait();
-    let started = Instant::now();
-    join_callers(handles)?;
-    let elapsed_mux = started.elapsed();
-    let mux_stats: Arc<TransportStats> = mux.stats();
+    })?;
+    let mux_stats = mux.stats();
     let (mux_frames, mux_write_syscalls) = (mux.frames_sent(), mux.write_syscalls());
     let (mux_bytes_sent, mux_bytes_received) = (mux_stats.bytes_sent(), mux_stats.bytes_received());
-    let mux_calls = mux_noop.calls();
+    let mux_calls = mux_origin.noop.calls();
     drop(mux);
     drop(mux_reactor);
 
     // Phase 2: the pooled baseline — same workload, one socket and one
     // write syscall per concurrent caller and call.
-    let (pool_reactor, pool_noop) = noop_origin(config.reactor_threads)?;
+    let pool_origin = NoopOrigin::new();
+    let pool_reactor = pool_origin.serve(config.reactor_threads)?;
     let pool = Arc::new(TcpPool::connect(pool_reactor.local_addr())?);
     let pool_stats = pool.stats();
     let target = Connection::new(pool.clone() as Arc<dyn Transport>)
         .lookup("noop")?
         .id();
-    let gate = Arc::new(Barrier::new(config.callers + 1));
-    let handles: Vec<_> = (0..config.callers)
-        .map(|_| {
-            let pool = Arc::clone(&pool);
-            let gate = Arc::clone(&gate);
-            let (bursts, calls) = (config.bursts_per_caller, config.calls_per_burst);
-            std::thread::spawn(move || -> Result<(), RemoteError> {
-                gate.wait();
-                for _ in 0..bursts * calls {
-                    expect_return(pool.request(noop_call(target))?)?;
-                }
-                Ok(())
-            })
+    let elapsed_pool = run_wave(config.callers, || {
+        let pool = &pool;
+        Ok(move || {
+            (0..bursts * calls).try_for_each(|_| expect_return(pool.request(noop_call(target))?))
         })
-        .collect();
-    gate.wait();
-    let started = Instant::now();
-    join_callers(handles)?;
-    let elapsed_pool = started.elapsed();
-    let pool_calls = pool_noop.calls();
-    debug_assert_eq!(mux_calls, pool_calls, "phases run identical workloads");
+    })?;
+    let pool_calls = pool_origin.noop.calls();
+    if mux_calls != pool_calls {
+        return Err(RemoteError::new(
+            RemoteErrorKind::Protocol,
+            format!(
+                "the mux phase executed {mux_calls} calls and the pool phase {pool_calls}; \
+                 the phases run identical workloads"
+            ),
+        ));
+    }
 
     Ok(MuxStressReport {
         config: config.clone(),
@@ -495,15 +408,10 @@ impl RetryStressReport {
 /// failing outright needs ~2⁻³² of bad luck per mille configured, so a
 /// healthy run never fails.
 pub fn run_retry_stress(config: &RetryStressConfig) -> Result<RetryStressReport, RemoteError> {
-    let server = RmiServer::new();
-    let executor = BatchExecutor::install(&server);
-    let noop = NoopServer::new();
-    server
-        .bind("noop", NoopSkeleton::remote_arc(noop.clone()))
-        .expect("fresh server bind");
+    let origin = NoopOrigin::new();
     let registry = Registry::new();
-    executor.register_metrics(&registry);
-    server.reply_cache().register_metrics(&registry);
+    origin.executor.register_metrics(&registry);
+    origin.server.reply_cache().register_metrics(&registry);
 
     let mut injected_drops = 0u64;
     let mut client_resends = 0u64;
@@ -514,7 +422,7 @@ pub fn run_retry_stress(config: &RetryStressConfig) -> Result<RetryStressReport,
             .wrapping_add(client as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let requests = FaultyTransport::with_fault_point(
-            InProcTransport::new(server.clone()),
+            SimTransport::in_process(origin.server.clone()),
             FaultPlan::Seeded {
                 seed,
                 drop_per_mille: config.drop_per_mille,
@@ -545,11 +453,11 @@ pub fn run_retry_stress(config: &RetryStressConfig) -> Result<RetryStressReport,
 
     Ok(RetryStressReport {
         config: config.clone(),
-        calls_executed: noop.calls(),
+        calls_executed: origin.noop.calls(),
         injected_drops,
         client_resends,
-        origin_executions: server.reply_cache().executions(),
-        origin_replays: server.reply_cache().replays(),
+        origin_executions: origin.server.reply_cache().executions(),
+        origin_replays: origin.server.reply_cache().replays(),
         metrics: registry.snapshot().deterministic_only(),
         elapsed,
     })

@@ -15,8 +15,8 @@ use brmi_apps::bank::{
 use brmi_apps::list::{brmi_nth_value, ListNode, RemoteListSkeleton};
 use brmi_rmi::{Connection, RemoteRef, RmiServer};
 use brmi_transport::fetcher::BatchFetcher;
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::relay::ReadCachePolicy;
+use brmi_transport::sim::SimTransport;
 use brmi_transport::RequestHandler;
 use brmi_wire::{MethodRegistry, RemoteError};
 
@@ -41,7 +41,7 @@ fn fetched_bank(policy: ReadCachePolicy) -> FetchedBank {
         CreditManagerSkeleton::INTERFACE_META,
     ]));
     let fetcher = BatchFetcher::new(origin as Arc<dyn RequestHandler>, registry, policy);
-    let conn = Connection::new(Arc::new(InProcTransport::new(
+    let conn = Connection::new(Arc::new(SimTransport::in_process(
         Arc::clone(&fetcher) as Arc<dyn RequestHandler>
     )));
     let root = conn.lookup("bank").expect("lookup through fetcher");
@@ -208,7 +208,7 @@ fn aggregate_directory_reads_stay_fresh_across_aliased_deletes() {
         registry,
         generous_cache(),
     );
-    let conn = Connection::new(Arc::new(InProcTransport::new(
+    let conn = Connection::new(Arc::new(SimTransport::in_process(
         Arc::clone(&fetcher) as Arc<dyn RequestHandler>
     )));
     let root = conn.lookup("files").unwrap();
@@ -256,7 +256,7 @@ fn list_traversals_stay_correct_and_remote_returning_reads_bypass_the_cache() {
         registry,
         generous_cache(),
     );
-    let conn = Connection::new(Arc::new(InProcTransport::new(
+    let conn = Connection::new(Arc::new(SimTransport::in_process(
         Arc::clone(&fetcher) as Arc<dyn RequestHandler>
     )));
     let root = conn.lookup("list").unwrap();

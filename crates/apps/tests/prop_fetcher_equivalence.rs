@@ -18,8 +18,8 @@ use brmi_apps::testkit::AppRig;
 use brmi_rmi::{Connection, RemoteRef, RmiServer};
 use brmi_transport::fault::{FaultPlan, FaultyTransport};
 use brmi_transport::fetcher::BatchFetcher;
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::relay::ReadCachePolicy;
+use brmi_transport::sim::SimTransport;
 use brmi_transport::{RequestHandler, Transport};
 use brmi_wire::invocation::ErrorEnvelope;
 use brmi_wire::protocol::Frame;
@@ -141,7 +141,7 @@ fn run_fetched(programs: &[Vec<Op>]) -> (Vec<Vec<Observation>>, Vec<Option<f64>>
         bank_registry(),
         generous_cache(),
     );
-    let client_transport = Arc::new(InProcTransport::new(fetcher as Arc<dyn RequestHandler>));
+    let client_transport = Arc::new(SimTransport::in_process(fetcher as Arc<dyn RequestHandler>));
 
     let gate = Arc::new(Barrier::new(programs.len()));
     let handles: Vec<_> = programs
@@ -198,7 +198,7 @@ fn run_faulty_against_model(ops: &[Op], every_nth: u64) {
         .expect("fresh origin bind");
 
     let faulty = FaultyTransport::new(
-        InProcTransport::new(origin as Arc<dyn RequestHandler>),
+        SimTransport::in_process(origin as Arc<dyn RequestHandler>),
         FaultPlan::EveryNth(every_nth),
     );
     let fetcher = BatchFetcher::new(
@@ -206,7 +206,7 @@ fn run_faulty_against_model(ops: &[Op], every_nth: u64) {
         bank_registry(),
         generous_cache(),
     );
-    let conn = Connection::new(Arc::new(InProcTransport::new(
+    let conn = Connection::new(Arc::new(SimTransport::in_process(
         fetcher as Arc<dyn RequestHandler>,
     )));
 

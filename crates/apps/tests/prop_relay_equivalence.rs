@@ -17,8 +17,8 @@ use brmi_apps::bank::{brmi_purchase_session, Bank, CreditManagerSkeleton, Sessio
 use brmi_apps::list::{brmi_nth_value, ListNode, RemoteListSkeleton};
 use brmi_apps::testkit::AppRig;
 use brmi_rmi::{Connection, RmiServer};
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::relay::{BatchRelay, RelayPolicy};
+use brmi_transport::sim::SimTransport;
 use proptest::prelude::*;
 
 const ACCOUNT_LIMIT: f64 = 100.0;
@@ -87,9 +87,9 @@ fn run_bank_relayed(
     for i in 0..programs.len() {
         bank.open_account(&format!("cust{i}"), ACCOUNT_LIMIT);
     }
-    let upstream = Arc::new(InProcTransport::new(origin));
+    let upstream = Arc::new(SimTransport::in_process(origin));
     let relay = BatchRelay::new(upstream, relay_policy(budget));
-    let client_transport = Arc::new(InProcTransport::new(relay.clone()));
+    let client_transport = Arc::new(SimTransport::in_process(relay.clone()));
 
     let gate = Arc::new(Barrier::new(programs.len()));
     let handles: Vec<_> = programs
@@ -158,7 +158,7 @@ fn run_list_direct(programs: &[(Vec<i32>, Vec<usize>)]) -> Vec<ListObservation> 
             )
             .expect("fresh bind");
     }
-    let conn = Connection::new(Arc::new(InProcTransport::new(server)));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server)));
     programs
         .iter()
         .enumerate()
@@ -180,9 +180,9 @@ fn run_list_relayed(programs: &[(Vec<i32>, Vec<usize>)], budget: usize) -> Vec<L
             )
             .expect("fresh bind");
     }
-    let upstream = Arc::new(InProcTransport::new(origin));
+    let upstream = Arc::new(SimTransport::in_process(origin));
     let relay = BatchRelay::new(upstream, relay_policy(budget));
-    let client_transport = Arc::new(InProcTransport::new(relay.clone()));
+    let client_transport = Arc::new(SimTransport::in_process(relay.clone()));
 
     let gate = Arc::new(Barrier::new(programs.len()));
     let handles: Vec<_> = programs

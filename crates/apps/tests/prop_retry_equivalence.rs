@@ -20,9 +20,9 @@ use brmi_apps::bank::{brmi_purchase_session, Bank, CreditManagerSkeleton, Sessio
 use brmi_apps::list::{brmi_nth_value, ListNode, RemoteListSkeleton};
 use brmi_rmi::{Connection, RmiServer};
 use brmi_transport::fault::{FaultPlan, FaultPoint, FaultyTransport};
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::relay::{BatchRelay, RelayPolicy};
 use brmi_transport::retry::{RetryPolicy, RetryTransport};
+use brmi_transport::sim::SimTransport;
 use brmi_transport::Transport;
 use proptest::prelude::*;
 
@@ -45,7 +45,7 @@ fn relay_policy(budget: usize) -> RelayPolicy {
 /// A link that loses requests *and* replies, each with its own seeded,
 /// reproducible drop sequence. `drop_per_mille == 0` is a perfect link, so
 /// the fault-free reference run uses the identical stack.
-fn lossy_link(inner: InProcTransport, seed: u64, drop_per_mille: u16) -> Arc<dyn Transport> {
+fn lossy_link(inner: SimTransport, seed: u64, drop_per_mille: u16) -> Arc<dyn Transport> {
     let requests = FaultyTransport::with_fault_point(
         inner,
         FaultPlan::Seeded {
@@ -111,7 +111,7 @@ fn run_bank_keyed(
     let relay = BatchRelay::new(
         RetryTransport::over(
             lossy_link(
-                InProcTransport::new(origin.clone()),
+                SimTransport::in_process(origin.clone()),
                 seed ^ 0x5EED_0F0A_11AC_E5ED,
                 drop_per_mille,
             ),
@@ -130,7 +130,7 @@ fn run_bank_keyed(
             let program = program.clone();
             std::thread::spawn(move || {
                 let link = lossy_link(
-                    InProcTransport::new(relay),
+                    SimTransport::in_process(relay),
                     seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9),
                     drop_per_mille,
                 );
@@ -195,7 +195,7 @@ fn run_list_keyed(
     let relay = BatchRelay::new(
         RetryTransport::over(
             lossy_link(
-                InProcTransport::new(origin.clone()),
+                SimTransport::in_process(origin.clone()),
                 seed ^ 0x5EED_0F0A_11AC_E5ED,
                 drop_per_mille,
             ),
@@ -214,7 +214,7 @@ fn run_list_keyed(
             let depths = depths.clone();
             std::thread::spawn(move || {
                 let link = lossy_link(
-                    InProcTransport::new(relay),
+                    SimTransport::in_process(relay),
                     seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9),
                     drop_per_mille,
                 );
@@ -304,12 +304,12 @@ fn reply_loss_forces_replays_not_reexecution() {
         .expect("fresh origin bind");
     bank.open_account("solo", ACCOUNT_LIMIT);
     let relay = BatchRelay::new(
-        Arc::new(InProcTransport::new(origin.clone())),
+        Arc::new(SimTransport::in_process(origin.clone())),
         relay_policy(8),
     );
 
     let faulty = FaultyTransport::with_fault_point(
-        InProcTransport::new(relay.clone()),
+        SimTransport::in_process(relay.clone()),
         FaultPlan::EveryNth(2),
         FaultPoint::Reply,
     );

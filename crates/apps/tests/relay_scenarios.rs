@@ -17,10 +17,10 @@ use brmi_apps::noop::{brmi_noops, NoopServer, NoopSkeleton};
 use brmi_apps::testkit::AppRig;
 use brmi_rmi::{Connection, RmiServer};
 use brmi_transport::fault::{FaultPlan, FaultyTransport};
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::pool::TcpPool;
 use brmi_transport::reactor::{ReactorConfig, ReactorServer};
 use brmi_transport::relay::{BatchRelay, RelayPolicy};
+use brmi_transport::sim::SimTransport;
 use brmi_transport::{clock::SleepClock, Transport};
 use brmi_wire::RemoteErrorKind;
 
@@ -158,7 +158,7 @@ fn list_traversals_through_relay_match_direct_including_exceptions() {
             RemoteListSkeleton::remote_arc(ListNode::chain(&values)),
         )
         .unwrap();
-    let upstream = Arc::new(InProcTransport::new(origin));
+    let upstream = Arc::new(SimTransport::in_process(origin));
     let relay = BatchRelay::new(
         upstream,
         RelayPolicy::builder()
@@ -166,7 +166,7 @@ fn list_traversals_through_relay_match_direct_including_exceptions() {
             .max_delay(Duration::from_millis(1))
             .build(),
     );
-    let conn = Connection::new(Arc::new(InProcTransport::new(relay.clone())));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(relay.clone())));
     let root = conn.lookup("list").unwrap();
 
     // Depths 0..2 succeed; 3.. re-throw EndOfListException — the abort
@@ -196,9 +196,9 @@ fn upstream_drop_fails_each_member_batch_without_duplicate_execution() {
         .unwrap();
     // Forwarded lookups: 4 requests; then super-batches. Fail the 6th
     // upstream request — the second wave — and everything after recovers.
-    let upstream = FaultyTransport::new(InProcTransport::new(origin), FaultPlan::OnNth(6));
+    let upstream = FaultyTransport::new(SimTransport::in_process(origin), FaultPlan::OnNth(6));
     let relay = BatchRelay::new(Arc::clone(&upstream) as Arc<dyn Transport>, policy(4, 5));
-    let client_transport = Arc::new(InProcTransport::new(relay.clone()));
+    let client_transport = Arc::new(SimTransport::in_process(relay.clone()));
 
     let gate = Arc::new(Barrier::new(4));
     let handles: Vec<_> = (0..4)
@@ -335,13 +335,13 @@ fn delayed_upstream_changes_timing_not_results() {
         .bind("noop", NoopSkeleton::remote_arc(noop.clone()))
         .unwrap();
     let upstream = FaultyTransport::with_delay(
-        InProcTransport::new(origin),
+        SimTransport::in_process(origin),
         FaultPlan::None,
         SleepClock::new(),
         Duration::from_millis(2),
     );
     let relay = BatchRelay::new(Arc::clone(&upstream) as Arc<dyn Transport>, policy(3, 2));
-    let client_transport = Arc::new(InProcTransport::new(relay.clone()));
+    let client_transport = Arc::new(SimTransport::in_process(relay.clone()));
 
     let gate = Arc::new(Barrier::new(3));
     let handles: Vec<_> = (0..3)

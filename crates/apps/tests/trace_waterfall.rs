@@ -15,8 +15,8 @@ use brmi_apps::noop::{brmi_noops, NoopServer, NoopSkeleton};
 use brmi_obs::{SpanRecord, TraceCollector, Tracer};
 use brmi_rmi::{Connection, RemoteRef, RmiServer};
 use brmi_transport::clock::{Clock, VirtualClock};
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::relay::{BatchRelay, RelayPolicy};
+use brmi_transport::sim::SimTransport;
 use brmi_transport::Transport;
 
 const CALLS_PER_BATCH: usize = 3;
@@ -40,7 +40,7 @@ fn run_traced_flush(trace_client: bool) -> (Arc<TraceCollector>, Vec<SpanRecord>
     // Relay tier: coalescing budget of exactly one batch, so the flush
     // ships the moment the client's batch arrives — no clock advance or
     // companion traffic needed.
-    let upstream: Arc<dyn Transport> = Arc::new(InProcTransport::new(origin));
+    let upstream: Arc<dyn Transport> = Arc::new(SimTransport::in_process(origin));
     let relay = BatchRelay::with_time_source(
         upstream,
         RelayPolicy::builder()
@@ -52,7 +52,7 @@ fn run_traced_flush(trace_client: bool) -> (Arc<TraceCollector>, Vec<SpanRecord>
     relay.set_tracer(tracer.clone());
 
     // Client tier: a plain connection, optionally traced.
-    let mut conn = Connection::new(Arc::new(InProcTransport::new(relay.clone())));
+    let mut conn = Connection::new(Arc::new(SimTransport::in_process(relay.clone())));
     if trace_client {
         conn = conn.with_tracer(tracer.clone());
     }

@@ -6,7 +6,7 @@
 //! in CI instead of only panic-checked. A drifting number is then a visible
 //! regression (or a deliberate change, regenerated with `--json`).
 //!
-//! Every figure binary accepts:
+//! The `brmi-bench` binary accepts, for every sweep with a baseline:
 //!
 //! * `--json PATH` — write the run's series as JSON to `PATH`;
 //! * `--check PATH` — compare the run's series against the baseline at
@@ -168,8 +168,8 @@ pub fn compare_json(current: &str, baseline: &str) -> Result<(), String> {
     Err(report)
 }
 
-/// Handles the `--json PATH` / `--check PATH` arguments shared by the
-/// figure binaries. Returns the process exit code: failure when a `--check`
+/// Handles the `--json PATH` / `--check PATH` arguments of the
+/// `brmi-bench` binary. Returns the process exit code: failure when a `--check`
 /// mismatches or a file cannot be read/written.
 pub fn run_cli(tables: &[SeriesTable], args: &[String]) -> ExitCode {
     let rendered = render_json(tables);

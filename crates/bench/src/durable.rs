@@ -117,11 +117,6 @@ pub fn durable_sweep_with(batches: &[u32]) -> (Vec<MultiFigure>, Vec<DurableStre
     (vec![append_figure, recovery_figure], reports)
 }
 
-/// The default sweep over [`DURABLE_BATCH_SWEEP`].
-pub fn durable_figures() -> (Vec<MultiFigure>, Vec<DurableStressReport>) {
-    durable_sweep_with(&DURABLE_BATCH_SWEEP)
-}
-
 /// Prints the wall-clock side of the sweep (not baseline-checked): the
 /// append-path overhead against the in-memory twin and the recovery
 /// time per point.

@@ -33,8 +33,8 @@ use brmi_apps::list::{
 use brmi_transport::NetworkProfile;
 
 use crate::figures::{FILE_COUNT, FILE_SIZE};
-use crate::rig::SimRig;
 use crate::MultiFigure;
+use brmi_apps::testkit::AppRig;
 
 fn network_tag(profile: &NetworkProfile) -> &'static str {
     if profile.name.starts_with("lan") {
@@ -44,10 +44,10 @@ fn network_tag(profile: &NetworkProfile) -> &'static str {
     }
 }
 
-fn listing_rig(profile: &NetworkProfile, files: usize) -> SimRig {
+fn listing_rig(profile: &NetworkProfile, files: usize) -> AppRig {
     let dir = InMemoryDirectory::new();
     dir.populate(files, 64);
-    SimRig::new(profile, DirectorySkeleton::remote_arc(dir))
+    AppRig::simulated(profile, DirectorySkeleton::remote_arc(dir))
 }
 
 /// ext1/ext2 — directory listing across all four systems.
@@ -98,7 +98,7 @@ pub fn implicit_traversal_figure(id: &'static str, profile: &NetworkProfile) -> 
     let mut implicit = Vec::new();
     let mut brmi = Vec::new();
     for &n in &xs {
-        let rig = SimRig::new(
+        let rig = AppRig::simulated(
             profile,
             RemoteListSkeleton::remote_arc(ListNode::chain(&values)),
         );
@@ -176,7 +176,7 @@ pub fn dto_facade_figure(id: &'static str, profile: &NetworkProfile) -> MultiFig
         let names: Vec<String> = (0..n).map(|i| format!("file{i}")).collect();
         let dir = InMemoryDirectory::new();
         dir.populate(FILE_COUNT, FILE_SIZE);
-        let rig = SimRig::new(profile, DirectorySkeleton::remote_arc(dir.clone()));
+        let rig = AppRig::simulated(profile, DirectorySkeleton::remote_arc(dir.clone()));
         let facade_ref = rig.conn.reference(
             rig.server
                 .export(DirectoryFacadeSkeleton::remote_arc(FacadeServer::new(dir))),

@@ -94,11 +94,6 @@ pub fn fetcher_sweep_with(clients: &[u32]) -> (MultiFigure, Vec<FetcherSweepPoin
     (figure, points)
 }
 
-/// The default sweep over [`FETCHER_CLIENT_SWEEP`].
-pub fn fetcher_cache_figure() -> (MultiFigure, Vec<FetcherSweepPoint>) {
-    fetcher_sweep_with(&FETCHER_CLIENT_SWEEP)
-}
-
 /// Prints the per-point execution reduction, absorbed ratio and the
 /// wall-clock side of the sweep (the latter is not baseline-checked).
 pub fn print_measured_reduction(points: &[FetcherSweepPoint]) {

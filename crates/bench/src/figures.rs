@@ -1,5 +1,5 @@
 //! One scenario per paper figure, plus the design-choice ablations
-//! (the `ablation_*` scenarios, printed by the `ablations` binary).
+//! (the `ablation_*` scenarios, printed by the `ablations` sweep).
 //!
 //! Every scenario runs the genuine application clients from [`brmi_apps`]
 //! over the simulated network; nothing is analytically shortcut — byte
@@ -20,9 +20,10 @@ use brmi_apps::simulation::{
     brmi_run, rmi_run, SimulationServer, SimulationSkeleton, SimulationStub,
 };
 use brmi_transport::NetworkProfile;
+use brmi_wire::codec::IntWidth;
 
-use crate::rig::SimRig;
 use crate::Figure;
+use brmi_apps::testkit::AppRig;
 
 /// Reps per simulation step in Figures 10/11 (the paper does not state
 /// its value; 4 keeps loopback cost visible without dominating).
@@ -47,7 +48,7 @@ pub fn noop_figure(id: &'static str, profile: &NetworkProfile) -> Figure {
     let mut rmi_ms = Vec::new();
     let mut brmi_ms = Vec::new();
     for &n in &xs {
-        let rig = SimRig::new(profile, NoopSkeleton::remote_arc(NoopServer::new()));
+        let rig = AppRig::simulated(profile, NoopSkeleton::remote_arc(NoopServer::new()));
         let stub = NoopStub::new(rig.root.clone());
         rmi_ms.push(rig.measure_ms(|| rmi_noops(&stub, n as usize).expect("rmi noops")));
         brmi_ms.push(rig.measure_ms(|| {
@@ -64,9 +65,9 @@ pub fn noop_figure(id: &'static str, profile: &NetworkProfile) -> Figure {
     }
 }
 
-fn list_rig(profile: &NetworkProfile) -> SimRig {
+fn list_rig(profile: &NetworkProfile) -> AppRig {
     let values: Vec<i32> = (0..8).map(|i| i * 11).collect();
-    SimRig::new(
+    AppRig::simulated(
         profile,
         RemoteListSkeleton::remote_arc(ListNode::chain(&values)),
     )
@@ -135,7 +136,7 @@ pub fn simulation_figure(id: &'static str, profile: &NetworkProfile) -> Figure {
     let mut rmi_ms = Vec::new();
     let mut brmi_ms = Vec::new();
     for &steps in &xs {
-        let rig = SimRig::new(
+        let rig = AppRig::simulated(
             profile,
             SimulationSkeleton::remote_arc(SimulationServer::new()),
         );
@@ -143,7 +144,7 @@ pub fn simulation_figure(id: &'static str, profile: &NetworkProfile) -> Figure {
         rmi_ms.push(rig.measure_ms(|| {
             rmi_run(&stub, steps as usize, SIMULATION_REPS).expect("rmi simulation");
         }));
-        let rig = SimRig::new(
+        let rig = AppRig::simulated(
             profile,
             SimulationSkeleton::remote_arc(SimulationServer::new()),
         );
@@ -162,10 +163,10 @@ pub fn simulation_figure(id: &'static str, profile: &NetworkProfile) -> Figure {
     }
 }
 
-fn file_rig(profile: &NetworkProfile) -> SimRig {
+fn file_rig(profile: &NetworkProfile) -> AppRig {
     let dir = InMemoryDirectory::new();
     dir.populate(FILE_COUNT, FILE_SIZE);
-    SimRig::new(profile, DirectorySkeleton::remote_arc(dir))
+    AppRig::simulated(profile, DirectorySkeleton::remote_arc(dir))
 }
 
 /// Figures 12/13 — the Remote File Server macro benchmark: request and
@@ -208,10 +209,11 @@ pub fn ablation_identity(profile: &NetworkProfile) -> Figure {
             brmi_nth_value(&rig.conn, &rig.root, n as usize).expect("traversal");
         }));
         let values: Vec<i32> = (0..8).map(|i| i * 11).collect();
-        let rig = SimRig::with_executor(
+        let rig = AppRig::simulated_with(
             profile,
             RemoteListSkeleton::remote_arc(ListNode::chain(&values)),
             BatchExecutor::without_identity_preservation(),
+            IntWidth::Varint,
         );
         without_identity.push(rig.measure_ms(|| {
             brmi_nth_value(&rig.conn, &rig.root, n as usize).expect("traversal");
@@ -296,11 +298,11 @@ pub fn ablation_policy(profile: &NetworkProfile) -> Figure {
     let mut abort_ms = Vec::new();
     let mut custom_ms = Vec::new();
     for &n in &xs {
-        let rig = SimRig::new(profile, NoopSkeleton::remote_arc(NoopServer::new()));
+        let rig = AppRig::simulated(profile, NoopSkeleton::remote_arc(NoopServer::new()));
         abort_ms.push(rig.measure_ms(|| {
             brmi_noops(&rig.conn, &rig.root, n as usize).expect("noops");
         }));
-        let rig = SimRig::new(profile, NoopSkeleton::remote_arc(NoopServer::new()));
+        let rig = AppRig::simulated(profile, NoopSkeleton::remote_arc(NoopServer::new()));
         custom_ms.push(rig.measure_ms(|| {
             // The committed baseline pins each rule's wire bytes to the
             // original one-byte method name, so the spec is built directly
@@ -346,8 +348,6 @@ pub fn ablation_policy(profile: &NetworkProfile) -> Figure {
 /// style encodings. The "RMI" column holds the fixed-width variant, the
 /// "BRMI" column the varint default (both run the BRMI batch client).
 pub fn ablation_codec(profile: &NetworkProfile) -> Figure {
-    use brmi_wire::codec::IntWidth;
-
     let xs: Vec<u32> = vec![20, 40, 80, 160];
     let mut varint_ms = Vec::new();
     let mut fixed_ms = Vec::new();
@@ -356,8 +356,12 @@ pub fn ablation_codec(profile: &NetworkProfile) -> Figure {
             (IntWidth::Varint, &mut varint_ms),
             (IntWidth::Fixed8, &mut fixed_ms),
         ] {
-            let rig =
-                SimRig::with_int_width(profile, NoopSkeleton::remote_arc(NoopServer::new()), width);
+            let rig = AppRig::simulated_with(
+                profile,
+                NoopSkeleton::remote_arc(NoopServer::new()),
+                BatchExecutor::new(),
+                width,
+            );
             out.push(rig.measure_ms(|| {
                 brmi_noops(&rig.conn, &rig.root, n as usize).expect("brmi noops");
             }));
@@ -380,8 +384,6 @@ pub fn ablation_codec(profile: &NetworkProfile) -> Figure {
 /// workload (the Figure 12 bulk fetch): file contents are raw bytes at
 /// either width, so the encoding choice should all but vanish.
 pub fn ablation_codec_payload(profile: &NetworkProfile) -> Figure {
-    use brmi_wire::codec::IntWidth;
-
     let xs: Vec<u32> = (1..=FILE_COUNT as u32).collect();
     let mut varint_ms = Vec::new();
     let mut fixed_ms = Vec::new();
@@ -393,7 +395,12 @@ pub fn ablation_codec_payload(profile: &NetworkProfile) -> Figure {
         ] {
             let dir = InMemoryDirectory::new();
             dir.populate(FILE_COUNT, FILE_SIZE);
-            let rig = SimRig::with_int_width(profile, DirectorySkeleton::remote_arc(dir), width);
+            let rig = AppRig::simulated_with(
+                profile,
+                DirectorySkeleton::remote_arc(dir),
+                BatchExecutor::new(),
+                width,
+            );
             out.push(rig.measure_ms(|| {
                 brmi_fetch(&rig.conn, &rig.root, &names).expect("brmi fetch");
             }));
@@ -429,7 +436,7 @@ pub fn all_paper_figures() -> Vec<Figure> {
     ]
 }
 
-/// Every design-choice ablation, in the order the `ablations` binary
+/// Every design-choice ablation, in the order the `ablations` sweep
 /// prints them (and the order `BENCH_ablations.json` pins them).
 pub fn all_ablation_figures() -> Vec<Figure> {
     let lan = NetworkProfile::lan_1gbps();

@@ -6,7 +6,6 @@
 //! sweep is deterministic and finishes in milliseconds of wall time while
 //! reporting the latency a physical testbed would exhibit.
 //!
-//! * [`rig`] — simulated client/server pairs per network profile;
 //! * [`figures`] — one scenario per paper figure (5–13) plus ablations;
 //! * [`extensions`] — experiments beyond the paper: the implicit-batching
 //!   baseline and the hand-written DTO facade, measured against BRMI;
@@ -39,8 +38,11 @@
 //!   connections against a capped reactor (error-coded shed replies,
 //!   never timeouts), bounded-queue tail latency at 2× saturation, and
 //!   the adaptive coalescing-window convergence curve;
-//! * binaries `fig05_noop_lan` … `fig13_files_wireless`, `all_figures`,
-//!   `ablations` and `extensions` print paper-style series.
+//! * [`sweeps`] — the table behind the one `brmi-bench` binary: one sweep
+//!   per committed `BENCH_*.json` baseline, printing paper-style series.
+//!
+//! Every simulated scenario runs on
+//! [`AppRig::simulated`](brmi_apps::testkit::AppRig::simulated).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
@@ -60,9 +62,9 @@ pub mod overload;
 pub mod relay;
 #[cfg(target_os = "linux")]
 pub mod retry;
-pub mod rig;
 #[cfg(target_os = "linux")]
 pub mod stress;
+pub mod sweeps;
 
 /// One measured series pair for a figure: RMI vs BRMI over a parameter
 /// sweep, in simulated milliseconds.

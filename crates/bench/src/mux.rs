@@ -82,11 +82,6 @@ pub fn mux_sweep_with(callers: &[u32]) -> (MultiFigure, Vec<MuxStressReport>) {
     (figure, reports)
 }
 
-/// The default sweep over [`MUX_CALLER_SWEEP`].
-pub fn mux_client_figure() -> (MultiFigure, Vec<MuxStressReport>) {
-    mux_sweep_with(&MUX_CALLER_SWEEP)
-}
-
 /// Prints the per-point syscall economics and the wall-clock side of the
 /// sweep (the latter is not baseline-checked).
 pub fn print_measured_economics(reports: &[MuxStressReport]) {

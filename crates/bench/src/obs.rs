@@ -17,12 +17,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use brmi::BatchExecutor;
-use brmi_apps::noop::{brmi_noops, NoopServer, NoopSkeleton};
+use brmi_apps::noop::brmi_noops;
+use brmi_apps::testkit::NoopOrigin;
 use brmi_obs::{Histogram, MetricsSnapshot, Registry, Snapshot, TraceCollector, Tracer};
-use brmi_rmi::{Connection, RemoteRef, RmiServer};
+use brmi_rmi::{Connection, RemoteRef};
 use brmi_transport::clock::VirtualClock;
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::profile::NetworkProfile;
 use brmi_transport::relay::{BatchRelay, RelayPolicy};
 use brmi_transport::sim::SimTransport;
@@ -99,21 +98,16 @@ fn run_rig(batch_size: u32, instrumented: bool) -> ObsRun {
 
     // Origin tier: batching RMI server at the far end of the simulated
     // network.
-    let origin = RmiServer::new();
-    let executor = BatchExecutor::install(&origin);
-    let noop = NoopServer::new();
-    origin
-        .bind("noop", NoopSkeleton::remote_arc(noop.clone()))
-        .expect("fresh origin bind");
+    let origin = NoopOrigin::new();
     if instrumented {
-        origin.set_tracer(tracer.clone());
+        origin.server.set_tracer(tracer.clone());
     }
 
     // The simulated link charges time for every byte the relay ships
     // upstream — including the trace envelope, which is exactly what the
     // overhead guard wants to price.
     let sim = Arc::new(SimTransport::new(
-        origin,
+        origin.server.clone(),
         NetworkProfile::lan_1gbps(),
         clock.clone(),
     ));
@@ -137,12 +131,12 @@ fn run_rig(batch_size: u32, instrumented: bool) -> ObsRun {
     // counters exist either way, which is what makes the instrumented
     // and bare runs comparable.
     let registry = Registry::new();
-    executor.register_metrics(&registry);
+    origin.executor.register_metrics(&registry);
     relay.register_metrics(&registry);
     sim_stats.register_metrics(&registry, "sim");
     registry.register_counter("trace_spans", &[], &tracer.span_counter());
 
-    let mut conn = Connection::new(Arc::new(InProcTransport::new(relay.clone())));
+    let mut conn = Connection::new(Arc::new(SimTransport::in_process(relay.clone())));
     if instrumented {
         conn = conn.with_tracer(tracer.clone());
     }
@@ -172,7 +166,7 @@ fn run_rig(batch_size: u32, instrumented: bool) -> ObsRun {
         flush_p99: Duration::from_nanos(snapshot.quantile(0.99)),
         sim_requests: sim_stats.requests(),
         sim_bytes: sim_stats.bytes_sent() + sim_stats.bytes_received(),
-        noop_calls: noop.calls(),
+        noop_calls: origin.noop.calls(),
         metrics: registry.snapshot(),
         waterfall,
     }
@@ -250,11 +244,6 @@ pub fn obs_sweep_with(batch_sizes: &[u32]) -> (MultiFigure, Vec<ObsPoint>) {
         ],
     };
     (figure, points)
-}
-
-/// Default sweep over [`OBS_SWEEP`].
-pub fn obs_observability_figure() -> (MultiFigure, Vec<ObsPoint>) {
-    obs_sweep_with(&OBS_SWEEP)
 }
 
 /// Asserts the no-op overhead contract on every point: instrumentation

@@ -94,11 +94,6 @@ pub fn admission_sweep_with(offered: &[u32]) -> (MultiFigure, Vec<AdmissionRepor
     (figure, reports)
 }
 
-/// The default admission sweep over [`OFFERED_SWEEP`].
-pub fn admission_figure() -> (MultiFigure, Vec<AdmissionReport>) {
-    admission_sweep_with(&OFFERED_SWEEP)
-}
-
 /// Runs the bounded-queue saturation model over offered loads given in
 /// per-mille of saturation.
 pub fn saturation_sweep_with(loads_per_mille: &[u32]) -> (MultiFigure, Vec<SaturationReport>) {
@@ -139,11 +134,6 @@ pub fn saturation_sweep_with(loads_per_mille: &[u32]) -> (MultiFigure, Vec<Satur
         ],
     };
     (figure, reports)
-}
-
-/// The default saturation sweep over [`LOAD_SWEEP_PER_MILLE`].
-pub fn saturation_figure() -> (MultiFigure, Vec<SaturationReport>) {
-    saturation_sweep_with(&LOAD_SWEEP_PER_MILLE)
 }
 
 /// Runs the adaptive-window convergence sweep over arrival spacings.

@@ -75,11 +75,6 @@ pub fn relay_sweep_with(clients: &[u32]) -> (MultiFigure, Vec<RelayStressReport>
     (figure, reports)
 }
 
-/// The default sweep over [`RELAY_CLIENT_SWEEP`].
-pub fn relay_topology_figure() -> (MultiFigure, Vec<RelayStressReport>) {
-    relay_sweep_with(&RELAY_CLIENT_SWEEP)
-}
-
 /// Prints the per-point round-trip reduction and the wall-clock side of
 /// the sweep (the latter is not baseline-checked).
 pub fn print_measured_reduction(reports: &[RelayStressReport]) {

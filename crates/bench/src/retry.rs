@@ -79,11 +79,6 @@ pub fn retry_sweep_with(drop_rates: &[u32]) -> (MultiFigure, Vec<RetryStressRepo
     (figure, reports)
 }
 
-/// The default sweep over [`RETRY_DROP_SWEEP`].
-pub fn retry_goodput_figure() -> (MultiFigure, Vec<RetryStressReport>) {
-    retry_sweep_with(&RETRY_DROP_SWEEP)
-}
-
 /// Prints the per-point retry overhead and the wall-clock goodput side of
 /// the sweep (the latter is not baseline-checked).
 pub fn print_measured_goodput(reports: &[RetryStressReport]) {

@@ -72,11 +72,6 @@ pub fn reactor_sweep_with(clients: &[u32]) -> (MultiFigure, Vec<StressReport>) {
     (figure, reports)
 }
 
-/// The default sweep over [`CLIENT_SWEEP`].
-pub fn reactor_throughput_figure() -> (MultiFigure, Vec<StressReport>) {
-    reactor_sweep_with(&CLIENT_SWEEP)
-}
-
 /// Prints the wall-clock side of the sweep (not baseline-checked).
 pub fn print_measured_throughput(reports: &[StressReport]) {
     println!("measured wall-clock throughput (informational, machine-dependent):");

@@ -24,13 +24,13 @@ use brmi_apps::noop::{brmi_noops, rmi_noops, NoopServer, NoopSkeleton, NoopStub}
 use brmi_apps::simulation::{
     brmi_run, rmi_run, SimulationServer, SimulationSkeleton, SimulationStub,
 };
+use brmi_apps::testkit::AppRig;
 use brmi_bench::model::{counts, predicted_ms_from_stats, TrafficCounts};
-use brmi_bench::rig::SimRig;
 use brmi_transport::NetworkProfile;
 use brmi_wire::DateMillis;
 
 /// Runs `work` on the rig and checks both model halves.
-fn check(rig: &SimRig, expected: TrafficCounts, work: impl FnOnce()) {
+fn check(rig: &AppRig, expected: TrafficCounts, work: impl FnOnce()) {
     let loopback_before = rig.server.loopback_calls();
     let simulated = rig.measure_ms(work);
     let loopback = rig.server.loopback_calls() - loopback_before;
@@ -69,7 +69,7 @@ fn profiles() -> [NetworkProfile; 2] {
 fn noop_counts_hold() {
     for profile in profiles() {
         for n in [0u64, 1, 3, 5] {
-            let rig = SimRig::new(&profile, NoopSkeleton::remote_arc(NoopServer::new()));
+            let rig = AppRig::simulated(&profile, NoopSkeleton::remote_arc(NoopServer::new()));
             let stub = NoopStub::new(rig.root.clone());
             check(&rig, counts::rmi_noop(n), || {
                 rmi_noops(&stub, n as usize).unwrap();
@@ -81,9 +81,9 @@ fn noop_counts_hold() {
     }
 }
 
-fn list_rig(profile: &NetworkProfile) -> SimRig {
+fn list_rig(profile: &NetworkProfile) -> AppRig {
     let values: Vec<i32> = (0..8).collect();
-    SimRig::new(
+    AppRig::simulated(
         profile,
         RemoteListSkeleton::remote_arc(ListNode::chain(&values)),
     )
@@ -113,7 +113,7 @@ fn simulation_counts_hold() {
     let reps = 4;
     for profile in profiles() {
         for steps in [5u64, 20] {
-            let rig = SimRig::new(
+            let rig = AppRig::simulated(
                 &profile,
                 SimulationSkeleton::remote_arc(SimulationServer::new()),
             );
@@ -121,7 +121,7 @@ fn simulation_counts_hold() {
             check(&rig, counts::rmi_simulation(steps, reps as u64), || {
                 rmi_run(&stub, steps as usize, reps).unwrap();
             });
-            let rig = SimRig::new(
+            let rig = AppRig::simulated(
                 &profile,
                 SimulationSkeleton::remote_arc(SimulationServer::new()),
             );
@@ -132,10 +132,10 @@ fn simulation_counts_hold() {
     }
 }
 
-fn file_rig(profile: &NetworkProfile, n: usize) -> SimRig {
+fn file_rig(profile: &NetworkProfile, n: usize) -> AppRig {
     let dir = InMemoryDirectory::new();
     dir.populate(n, 512);
-    SimRig::new(profile, DirectorySkeleton::remote_arc(dir))
+    AppRig::simulated(profile, DirectorySkeleton::remote_arc(dir))
 }
 
 #[test]

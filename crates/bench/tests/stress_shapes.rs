@@ -1,6 +1,6 @@
 //! Shape and determinism checks for the reactor stress sweep (kept to a
 //! tiny client sweep so the tier-1 test run stays fast; the full
-//! [`brmi_bench::stress::CLIENT_SWEEP`] runs in the bench binary / CI
+//! [`brmi_bench::stress::CLIENT_SWEEP`] runs in `brmi-bench reactor` / CI
 //! smoke).
 
 #![cfg(target_os = "linux")]

@@ -31,7 +31,7 @@
 //! use brmi::{remote_interface, Batch, BatchExecutor};
 //! use brmi::policy::AbortPolicy;
 //! use brmi_rmi::{Connection, RmiServer};
-//! use brmi_transport::inproc::InProcTransport;
+//! use brmi_transport::sim::SimTransport;
 //! use brmi_wire::RemoteError;
 //!
 //! remote_interface! {
@@ -54,7 +54,7 @@
 //! server.bind("greeter", GreeterSkeleton::remote_arc(Arc::new(English)))?;
 //!
 //! // Client: look up the service and run a batch.
-//! let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+//! let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
 //! let remote = conn.lookup("greeter")?;
 //! let batch = Batch::new(conn, AbortPolicy);
 //! let greeter = BGreeter::new(&batch, &remote);

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use brmi::{remote_interface, Batch, BatchExecutor};
 use brmi_rmi::{Connection, RemoteRef, RmiServer};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 use brmi_transport::TransportStats;
 use brmi_wire::invocation::PolicySpec;
 use brmi_wire::{RemoteError, RemoteErrorKind};
@@ -173,7 +173,7 @@ impl Rig {
         let id = server
             .bind("root", NodeSkeleton::remote_arc(root.clone()))
             .expect("bind root");
-        let transport = InProcTransport::new(server.clone());
+        let transport = SimTransport::in_process(server.clone());
         let stats = transport.stats();
         let conn = Connection::new(Arc::new(transport));
         let root_ref = conn.reference(id);

@@ -9,7 +9,7 @@ use brmi::policy::AbortPolicy;
 use brmi::{Batch, BatchExecutor};
 use brmi_rmi::{Connection, RmiServer};
 use brmi_transport::fault::{FaultPlan, FaultyTransport};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 #[cfg(target_os = "linux")]
 use brmi_transport::{pool::TcpPool, reactor::ReactorServer};
 use brmi_wire::RemoteErrorKind;
@@ -21,7 +21,7 @@ fn faulty_rig(plan: FaultPlan) -> (Connection, brmi_rmi::RemoteRef) {
     let id = server
         .bind("root", NodeSkeleton::remote_arc(TestNode::new("n0", 7)))
         .unwrap();
-    let transport = FaultyTransport::new(InProcTransport::new(server.clone()), plan);
+    let transport = FaultyTransport::new(SimTransport::in_process(server.clone()), plan);
     let conn = Connection::new(transport);
     let reference = conn.reference(id);
     (conn, reference)
@@ -150,7 +150,7 @@ fn server_without_batch_support_rejects_flush() {
     let id = server
         .bind("root", NodeSkeleton::remote_arc(TestNode::new("n0", 1)))
         .unwrap();
-    let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
     let batch = Batch::new(conn.clone(), AbortPolicy);
     let root = BNode::new(&batch, &conn.reference(id));
     let value = root.value();

@@ -111,14 +111,14 @@ fn kitchen_sink_round_trips_through_a_batch() {
     use brmi::policy::AbortPolicy;
     use brmi::{Batch, BatchExecutor};
     use brmi_rmi::{Connection, RmiServer};
-    use brmi_transport::inproc::InProcTransport;
+    use brmi_transport::sim::SimTransport;
 
     let server = RmiServer::new();
     BatchExecutor::install(&server);
     let id = server
         .bind("k", KitchenSkeleton::remote_arc(Arc::new(KitchenImpl)))
         .unwrap();
-    let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
     let reference = conn.reference(id);
 
     let batch = Batch::new(conn.clone(), AbortPolicy);
@@ -151,13 +151,13 @@ fn kitchen_sink_round_trips_through_a_batch() {
 #[test]
 fn kitchen_sink_round_trips_through_rmi_stubs() {
     use brmi_rmi::{Connection, RmiServer};
-    use brmi_transport::inproc::InProcTransport;
+    use brmi_transport::sim::SimTransport;
 
     let server = RmiServer::new();
     let id = server
         .bind("k", KitchenSkeleton::remote_arc(Arc::new(KitchenImpl)))
         .unwrap();
-    let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
     let stub = KitchenStub::new(conn.reference(id));
 
     stub.void_no_args().unwrap();

@@ -11,8 +11,8 @@ use brmi::policy::AbortPolicy;
 use brmi::{remote_interface, Batch, BatchExecutor};
 use brmi_rmi::{Connection, RemoteRef, RmiServer};
 use brmi_transport::fault::{FaultPlan, FaultPoint, FaultyTransport};
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::retry::{RetryPolicy, RetryTransport};
+use brmi_transport::sim::SimTransport;
 use brmi_transport::Transport;
 use brmi_wire::protocol::Frame;
 use brmi_wire::{RemoteError, RemoteErrorKind};
@@ -53,14 +53,14 @@ struct Rig {
     root: RemoteRef,
 }
 
-fn rig_over(wrap: impl FnOnce(Arc<InProcTransport>) -> Arc<dyn Transport>) -> Rig {
+fn rig_over(wrap: impl FnOnce(Arc<SimTransport>) -> Arc<dyn Transport>) -> Rig {
     let server = RmiServer::new();
     let executor = BatchExecutor::install(&server);
     let journal = Arc::new(JournalServer::default());
     let id = server
         .bind("journal", JournalSkeleton::remote_arc(journal.clone()))
         .expect("fresh bind");
-    let conn = Connection::new(wrap(Arc::new(InProcTransport::new(server.clone()))));
+    let conn = Connection::new(wrap(Arc::new(SimTransport::in_process(server.clone()))));
     let root = conn.reference(id);
     Rig {
         executor,
@@ -77,7 +77,7 @@ fn rig() -> Rig {
 /// Delays the first batch frame it sees, so a pipelined flush is reliably
 /// still in flight when the test issues the next one.
 struct DelayFirstBatch {
-    inner: Arc<InProcTransport>,
+    inner: Arc<SimTransport>,
     delayed: AtomicBool,
 }
 
@@ -192,7 +192,7 @@ fn transport_failure_surfaces_at_join_and_on_futures() {
     let id = server
         .bind("journal", JournalSkeleton::remote_arc(journal.clone()))
         .expect("fresh bind");
-    let faulty = FaultyTransport::new(InProcTransport::new(server.clone()), FaultPlan::Always);
+    let faulty = FaultyTransport::new(SimTransport::in_process(server.clone()), FaultPlan::Always);
     let conn = Connection::new(faulty as Arc<dyn Transport>);
     let batch = Batch::new(conn.clone(), AbortPolicy);
     let journal_stub = BJournal::new(&batch, &conn.reference(id));
@@ -221,7 +221,7 @@ fn keyed_flush_survives_reply_loss_without_double_execution() {
     // The first round trip *executes* but its reply is dropped on the way
     // back — the worst case for a retry: blind re-send would double-append.
     let faulty = FaultyTransport::with_fault_point(
-        InProcTransport::new(server.clone()),
+        SimTransport::in_process(server.clone()),
         FaultPlan::OnNth(1),
         FaultPoint::Reply,
     );
@@ -267,7 +267,10 @@ fn segment_after_failed_pipelined_flush_fails_cleanly() {
         .expect("fresh bind");
     // The first batch frame is dropped; anything after it must fail too,
     // never execute out of order.
-    let faulty = FaultyTransport::new(InProcTransport::new(server.clone()), FaultPlan::OnNth(1));
+    let faulty = FaultyTransport::new(
+        SimTransport::in_process(server.clone()),
+        FaultPlan::OnNth(1),
+    );
     let conn = Connection::new(faulty as Arc<dyn Transport>);
     let batch = Batch::new(conn.clone(), AbortPolicy);
     let stub = BJournal::new(&batch, &conn.reference(id));

@@ -48,7 +48,7 @@
 //! use brmi::{remote_interface, BatchExecutor};
 //! use brmi_implicit::ImplicitRuntime;
 //! use brmi_rmi::{Connection, RmiServer};
-//! use brmi_transport::inproc::InProcTransport;
+//! use brmi_transport::sim::SimTransport;
 //! use brmi_wire::RemoteError;
 //!
 //! remote_interface! {
@@ -68,7 +68,7 @@
 //! let server = RmiServer::new();
 //! BatchExecutor::install(&server);
 //! server.bind("counter", CounterSkeleton::remote_arc(Arc::new(State(0.into()))))?;
-//! let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+//! let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
 //!
 //! let rt = ImplicitRuntime::new(conn.clone());
 //! let counter: BCounter = rt.stub(&conn.lookup("counter")?);

@@ -9,7 +9,7 @@ use brmi::{remote_interface, BatchExecutor};
 use brmi_implicit::ImplicitRuntime;
 use brmi_rmi::{Connection, RemoteRef, RmiServer};
 use brmi_transport::fault::{FaultPlan, FaultyTransport};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 use brmi_wire::{RemoteError, RemoteErrorKind};
 
 remote_interface! {
@@ -33,7 +33,7 @@ fn rig(plan: FaultPlan) -> (Connection, RemoteRef) {
     let id = server
         .bind("echo", EchoSkeleton::remote_arc(Arc::new(Server)))
         .unwrap();
-    let transport = FaultyTransport::new(InProcTransport::new(server.clone()), plan);
+    let transport = FaultyTransport::new(SimTransport::in_process(server.clone()), plan);
     let conn = Connection::new(transport);
     let root = conn.reference(id);
     (conn, root)

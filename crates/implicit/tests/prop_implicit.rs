@@ -14,7 +14,7 @@ use std::sync::Arc;
 use brmi::{remote_interface, BatchExecutor};
 use brmi_implicit::{ImplicitRuntime, Lazy};
 use brmi_rmi::{Connection, RemoteRef, RmiServer};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 use brmi_wire::RemoteError;
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -101,7 +101,7 @@ fn fresh(values: &[i32]) -> (Connection, RemoteRef, Arc<Registers>) {
     let id = server
         .bind("bank", BankSkeleton::remote_arc(registers.clone()))
         .expect("bind");
-    let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
     let root = conn.reference(id);
     (conn, root, registers)
 }

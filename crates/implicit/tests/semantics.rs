@@ -9,7 +9,7 @@ use std::sync::Arc;
 use brmi::{remote_interface, BatchExecutor};
 use brmi_implicit::ImplicitRuntime;
 use brmi_rmi::{Connection, RemoteRef, RmiServer};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 use brmi_transport::TransportStats;
 use brmi_wire::{RemoteError, RemoteErrorKind};
 use parking_lot::Mutex;
@@ -83,7 +83,7 @@ fn rig() -> Rig {
     let id = server
         .bind("cell", CellSkeleton::remote_arc(cell.clone()))
         .expect("bind");
-    let transport = InProcTransport::new(server.clone());
+    let transport = SimTransport::in_process(server.clone());
     let stats = transport.stats();
     let conn = Connection::new(Arc::new(transport));
     let root = conn.reference(id);

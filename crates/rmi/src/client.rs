@@ -425,7 +425,7 @@ impl RemoteRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brmi_transport::inproc::InProcTransport;
+    use brmi_transport::sim::SimTransport;
     use brmi_transport::RequestHandler;
 
     /// Minimal handler: replies Return(I32(7)) to calls of method "seven",
@@ -454,7 +454,7 @@ mod tests {
     }
 
     fn connection() -> Connection {
-        Connection::new(Arc::new(InProcTransport::new(Arc::new(SevenHandler))))
+        Connection::new(Arc::new(SimTransport::in_process(Arc::new(SevenHandler))))
     }
 
     #[test]
@@ -548,7 +548,7 @@ mod tests {
         let recorder = Arc::new(KeyRecorder {
             seen: Mutex::new(Vec::new()),
         });
-        let transport = Arc::new(InProcTransport::new(
+        let transport = Arc::new(SimTransport::in_process(
             Arc::clone(&recorder) as Arc<dyn RequestHandler>
         ));
         let conn = Connection::with_key_source(transport, KeySource::with_client_id(9));

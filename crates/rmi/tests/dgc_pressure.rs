@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use brmi_rmi::{Connection, DgcConfig, LeaseHolder, RmiServer};
 use brmi_transport::clock::{Clock, VirtualClock};
-use brmi_transport::inproc::InProcTransport;
+use brmi_transport::sim::SimTransport;
 use brmi_wire::{ObjectId, RemoteErrorKind, Value};
 
 mod support {
@@ -59,7 +59,7 @@ fn rig(max_lease: Duration) -> DgcRig {
     let clock = VirtualClock::new();
     server.enable_dgc(clock.clone(), DgcConfig { max_lease });
     let root = server.bind("spawner", Arc::new(Spawner)).expect("bind");
-    let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
     DgcRig {
         server,
         conn,
@@ -161,7 +161,7 @@ fn lease_holder_tracks_renews_and_releases() {
 fn dirty_without_dgc_is_a_protocol_error() {
     let server = RmiServer::new();
     server.bind("spawner", Arc::new(Spawner)).unwrap();
-    let conn = Connection::new(Arc::new(InProcTransport::new(server)));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server)));
     let err = conn
         .dirty(&[ObjectId(1)], Duration::from_secs(1))
         .unwrap_err();
@@ -221,7 +221,7 @@ fn brmi_batches_create_no_dgc_pressure() {
             RemoteListSkeleton::remote_arc(ListNode::chain(&values)),
         )
         .unwrap();
-    let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
     let head = conn.reference(id);
 
     // RMI: every hop exports a node and grants a lease.
@@ -266,7 +266,7 @@ fn ablated_executor_recreates_the_rmi_pressure() {
             RemoteListSkeleton::remote_arc(ListNode::chain(&values)),
         )
         .unwrap();
-    let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
     let head = conn.reference(id);
 
     let batch = Batch::new(conn, AbortPolicy);

@@ -7,9 +7,9 @@ use std::sync::Arc;
 #[cfg(target_os = "linux")]
 use brmi_rmi::Naming;
 use brmi_rmi::{no_such_method, CallCtx, Connection, InArg, OutValue, RemoteObject, RmiServer};
-use brmi_transport::inproc::InProcTransport;
 #[cfg(target_os = "linux")]
 use brmi_transport::reactor::ReactorServer;
+use brmi_transport::sim::SimTransport;
 use brmi_wire::{RemoteError, RemoteErrorKind, Value};
 
 struct Echo(&'static str);
@@ -38,7 +38,7 @@ impl RemoteObject for Echo {
 
 fn rig() -> (Arc<RmiServer>, Connection) {
     let server = RmiServer::new();
-    let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+    let conn = Connection::new(Arc::new(SimTransport::in_process(server.clone())));
     (server, conn)
 }
 

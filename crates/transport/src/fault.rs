@@ -193,7 +193,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inproc::InProcTransport;
+    use crate::sim::SimTransport;
     use crate::RequestHandler;
     use brmi_wire::value::Value;
     use brmi_wire::ObjectId;
@@ -215,8 +215,8 @@ mod tests {
         }
     }
 
-    fn transport(plan: FaultPlan) -> Arc<FaultyTransport<InProcTransport>> {
-        FaultyTransport::new(InProcTransport::new(Arc::new(NullHandler)), plan)
+    fn transport(plan: FaultPlan) -> Arc<FaultyTransport<SimTransport>> {
+        FaultyTransport::new(SimTransport::in_process(Arc::new(NullHandler)), plan)
     }
 
     #[test]
@@ -263,7 +263,7 @@ mod tests {
         use std::time::Duration;
         let clock = VirtualClock::new();
         let t = FaultyTransport::with_delay(
-            InProcTransport::new(Arc::new(NullHandler)),
+            SimTransport::in_process(Arc::new(NullHandler)),
             FaultPlan::OnNth(2),
             clock.clone(),
             Duration::from_millis(7),
@@ -303,7 +303,7 @@ mod tests {
             hits: AtomicU64::new(0),
         });
         let t = FaultyTransport::with_fault_point(
-            InProcTransport::new(Arc::clone(&handler) as Arc<dyn RequestHandler>),
+            SimTransport::in_process(Arc::clone(&handler) as Arc<dyn RequestHandler>),
             FaultPlan::OnNth(1),
             FaultPoint::Request,
         );
@@ -317,7 +317,7 @@ mod tests {
             hits: AtomicU64::new(0),
         });
         let t = FaultyTransport::with_fault_point(
-            InProcTransport::new(Arc::clone(&handler) as Arc<dyn RequestHandler>),
+            SimTransport::in_process(Arc::clone(&handler) as Arc<dyn RequestHandler>),
             FaultPlan::OnNth(1),
             FaultPoint::Reply,
         );
@@ -336,7 +336,7 @@ mod tests {
             seed: 42,
             drop_per_mille: 300,
         };
-        let outcomes = |t: &Arc<FaultyTransport<InProcTransport>>| -> Vec<bool> {
+        let outcomes = |t: &Arc<FaultyTransport<SimTransport>>| -> Vec<bool> {
             (0..64).map(|_| t.request(call()).is_ok()).collect()
         };
         let a = outcomes(&transport(plan));

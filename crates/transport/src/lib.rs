@@ -2,7 +2,6 @@
 //!
 //! Pluggable transports carrying [`Frame`]s between a BRMI client and server:
 //!
-//! * [`inproc`] — direct dispatch into a server handler, for unit tests;
 //! * [`reactor`] — the one TCP server: an epoll event loop serving hundreds
 //!   of concurrent connections from a fixed set of reactor threads
 //!   (Linux-only);
@@ -19,7 +18,9 @@
 //!   client above; unkeyed traffic keeps at-most-once;
 //! * [`sim`] — the experimental testbed: real frames, simulated network cost
 //!   charged to a [virtual clock](clock::VirtualClock) according to a
-//!   [`NetworkProfile`];
+//!   [`NetworkProfile`]; with the zero profile
+//!   ([`SimTransport::in_process`](sim::SimTransport::in_process)) it is
+//!   also the in-process transport of unit tests, examples and rigs;
 //! * [`fault`] — failure injection (request or reply drops, deterministic
 //!   seeded plans, delays) for testing error paths;
 //! * [`slot`] — the fill-once reply cell through which the mux, relay and
@@ -38,7 +39,6 @@ pub mod clock;
 pub mod fault;
 pub mod fetcher;
 pub(crate) mod framing;
-pub mod inproc;
 pub mod mux;
 pub mod pool;
 pub mod profile;

@@ -880,8 +880,8 @@ mod tests {
     use super::*;
     use crate::clock::{Clock, VirtualClock};
     use crate::fault::{FaultPlan, FaultyTransport};
-    use crate::inproc::InProcTransport;
     use crate::retry::{RetryPolicy, RetryTransport};
+    use crate::sim::SimTransport;
     use brmi_wire::invocation::{
         BatchRequest, BatchResponse, CallSeq, InvocationData, PolicySpec, SlotOutcome, Target,
     };
@@ -1056,7 +1056,7 @@ mod tests {
     #[test]
     fn concurrent_batches_coalesce_into_one_super_batch() {
         let origin = RecordingOrigin::new();
-        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let upstream = Arc::new(SimTransport::in_process(origin.clone()));
         let relay = BatchRelay::new(
             upstream,
             RelayPolicy::builder()
@@ -1101,7 +1101,7 @@ mod tests {
     #[test]
     fn lone_batch_ships_as_plain_batch_call_after_delay() {
         let origin = RecordingOrigin::new();
-        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let upstream = Arc::new(SimTransport::in_process(origin.clone()));
         let relay = BatchRelay::new(
             upstream,
             RelayPolicy::builder()
@@ -1120,7 +1120,7 @@ mod tests {
     #[test]
     fn virtual_clock_drives_the_delay_flush_deterministically() {
         let origin = RecordingOrigin::new();
-        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let upstream = Arc::new(SimTransport::in_process(origin.clone()));
         let clock = VirtualClock::new();
         let relay = BatchRelay::with_time_source(
             upstream,
@@ -1152,7 +1152,7 @@ mod tests {
     #[test]
     fn oversized_batch_still_ships_alone() {
         let origin = RecordingOrigin::new();
-        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let upstream = Arc::new(SimTransport::in_process(origin.clone()));
         let relay = BatchRelay::new(
             upstream,
             RelayPolicy::builder()
@@ -1167,7 +1167,7 @@ mod tests {
     #[test]
     fn non_batch_frames_pass_through() {
         let origin = RecordingOrigin::new();
-        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let upstream = Arc::new(SimTransport::in_process(origin.clone()));
         let relay = BatchRelay::new(upstream, RelayPolicy::default());
         let reply = relay.handle(Frame::Call {
             key: None,
@@ -1184,7 +1184,7 @@ mod tests {
     fn upstream_fault_fails_every_member_batch_without_retry() {
         let origin = RecordingOrigin::new();
         let upstream =
-            FaultyTransport::new(InProcTransport::new(origin.clone()), FaultPlan::Always);
+            FaultyTransport::new(SimTransport::in_process(origin.clone()), FaultPlan::Always);
         let relay = BatchRelay::new(
             Arc::clone(&upstream) as Arc<dyn Transport>,
             RelayPolicy::builder()
@@ -1218,7 +1218,7 @@ mod tests {
     #[test]
     fn keyed_batches_coalesce_into_a_keyed_super_batch() {
         let origin = RecordingOrigin::new();
-        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let upstream = Arc::new(SimTransport::in_process(origin.clone()));
         let relay = BatchRelay::new(
             upstream,
             RelayPolicy::builder()
@@ -1255,7 +1255,7 @@ mod tests {
     #[test]
     fn mixed_groups_split_by_delivery_mode() {
         let origin = RecordingOrigin::new();
-        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let upstream = Arc::new(SimTransport::in_process(origin.clone()));
         // A huge delay plus a tiny budget: both arrivals queue, then one
         // group containing a keyed and an unkeyed batch flushes at once.
         let relay = BatchRelay::new(
@@ -1308,8 +1308,10 @@ mod tests {
         let origin = RecordingOrigin::new();
         // Drop the first two upstream attempts; the retry-wrapped link
         // re-sends the keyed flush until it lands.
-        let upstream =
-            FaultyTransport::new(InProcTransport::new(origin.clone()), FaultPlan::FirstN(2));
+        let upstream = FaultyTransport::new(
+            SimTransport::in_process(origin.clone()),
+            FaultPlan::FirstN(2),
+        );
         let relay = BatchRelay::new(
             RetryTransport::over(Arc::clone(&upstream) as _, RetryPolicy::immediate(5)),
             RelayPolicy::builder()
@@ -1370,7 +1372,7 @@ mod tests {
     #[test]
     fn adaptive_policy_converges_under_virtual_clock() {
         let origin = RecordingOrigin::new();
-        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let upstream = Arc::new(SimTransport::in_process(origin.clone()));
         let clock = VirtualClock::new();
         // ewma_per_mille = 1000: each sample replaces the estimate, so the
         // tuned window is an exact function of the last interarrival gap.
@@ -1434,7 +1436,7 @@ mod tests {
     #[test]
     fn shutdown_drains_pending_and_rejects_new_batches() {
         let origin = RecordingOrigin::new();
-        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let upstream = Arc::new(SimTransport::in_process(origin.clone()));
         let relay = BatchRelay::new(
             upstream,
             RelayPolicy::builder()
@@ -1613,7 +1615,7 @@ mod tests {
     #[test]
     fn an_arrival_inside_the_window_ships_with_the_running_window() {
         let origin = RecordingOrigin::new();
-        let upstream = Arc::new(InProcTransport::new(origin.clone()));
+        let upstream = Arc::new(SimTransport::in_process(origin.clone()));
         let clock = VirtualClock::new();
         let relay = BatchRelay::with_time_source(
             upstream,

@@ -258,8 +258,8 @@ impl Transport for RetryTransport {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultPoint, FaultyTransport};
-    use crate::inproc::InProcTransport;
     use crate::pool::TcpPool;
+    use crate::sim::SimTransport;
     use crate::RequestHandler;
     use brmi_wire::protocol::IdemKey;
     use brmi_wire::{ObjectId, Value};
@@ -298,8 +298,8 @@ mod tests {
         }
     }
 
-    fn faulty(plan: FaultPlan) -> Arc<FaultyTransport<InProcTransport>> {
-        FaultyTransport::new(InProcTransport::new(Arc::new(EchoHandler)), plan)
+    fn faulty(plan: FaultPlan) -> Arc<FaultyTransport<SimTransport>> {
+        FaultyTransport::new(SimTransport::in_process(Arc::new(EchoHandler)), plan)
     }
 
     #[test]
@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn keyed_frames_survive_reply_loss() {
         let inner = FaultyTransport::with_fault_point(
-            InProcTransport::new(Arc::new(EchoHandler)),
+            SimTransport::in_process(Arc::new(EchoHandler)),
             FaultPlan::OnNth(1),
             FaultPoint::Reply,
         );
@@ -358,7 +358,7 @@ mod tests {
             }
         }
         let retry = RetryTransport::over(
-            Arc::new(InProcTransport::new(Arc::new(FailingHandler))) as _,
+            Arc::new(SimTransport::in_process(Arc::new(FailingHandler))) as _,
             RetryPolicy::immediate(5),
         );
         // In-band error frames are successful round trips at this layer.
@@ -384,7 +384,7 @@ mod tests {
                         FaultPlan::None
                     };
                     Ok(
-                        FaultyTransport::new(InProcTransport::new(Arc::new(EchoHandler)), plan)
+                        FaultyTransport::new(SimTransport::in_process(Arc::new(EchoHandler)), plan)
                             as Arc<dyn Transport>,
                     )
                 },

@@ -3,7 +3,7 @@
 //! [`SimTransport`] executes requests against a real in-process server but
 //! charges a [`Clock`] for the network and marshalling costs a physical
 //! deployment would pay, as parameterized by a [`NetworkProfile`]. With a
-//! [`VirtualClock`](crate::clock::VirtualClock) an entire latency-bound
+//! [`VirtualClock`] an entire latency-bound
 //! benchmark sweep finishes in microseconds of wall time; with a
 //! [`SleepClock`](crate::clock::SleepClock) the delays are real.
 //!
@@ -11,6 +11,12 @@
 //! counts come from the real codec and remote-reference counts from walking
 //! the real payloads, so the simulation cannot drift from the
 //! implementation.
+//!
+//! [`SimTransport::in_process`] is the same link with the
+//! [zero profile](NetworkProfile::zero): the in-process transport of unit
+//! tests, examples and in-process rigs. Frames are still round-tripped
+//! through the codec so that marshalling bugs cannot hide behind shared
+//! memory.
 
 use std::sync::Arc;
 
@@ -19,7 +25,7 @@ use brmi_wire::protocol::{Frame, FrameRef};
 use brmi_wire::RemoteError;
 use parking_lot::Mutex;
 
-use crate::clock::Clock;
+use crate::clock::{Clock, VirtualClock};
 use crate::profile::NetworkProfile;
 use crate::{frame_remote_refs, RequestHandler, Transport, TransportStats};
 
@@ -30,8 +36,9 @@ pub struct SimTransport {
     clock: Arc<dyn Clock>,
     stats: Arc<TransportStats>,
     int_width: IntWidth,
-    /// Reused (request, reply) frame buffers; see
-    /// [`InProcTransport`](crate::inproc::InProcTransport).
+    /// Reused (request, reply) frame buffers. Taken out of the mutex for
+    /// the duration of a round trip so a re-entrant or concurrent request
+    /// simply allocates fresh buffers instead of blocking.
     scratch: Mutex<(Vec<u8>, Vec<u8>)>,
 }
 
@@ -44,6 +51,14 @@ impl SimTransport {
         clock: Arc<dyn Clock>,
     ) -> Self {
         Self::with_int_width(handler, profile, clock, IntWidth::Varint)
+    }
+
+    /// An in-process link to `handler` that charges nothing: the
+    /// [zero profile](NetworkProfile::zero) on a clock of its own. Every
+    /// frame is still encoded, decoded and counted, exactly as a networked
+    /// transport would.
+    pub fn in_process(handler: Arc<dyn RequestHandler>) -> Self {
+        Self::new(handler, NetworkProfile::zero(), VirtualClock::new())
     }
 
     /// As [`SimTransport::new`], but encoding wire integers at the given
@@ -116,7 +131,6 @@ impl Transport for SimTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
     use brmi_wire::value::Value;
     use brmi_wire::ObjectId;
     use std::time::Duration;
@@ -190,6 +204,37 @@ mod tests {
         );
         transport.request(call_frame()).unwrap();
         assert_eq!(clock.elapsed(), Duration::ZERO);
+    }
+
+    /// Echoes call arguments back as a list.
+    struct EchoHandler;
+
+    impl RequestHandler for EchoHandler {
+        fn handle(&self, frame: Frame) -> Frame {
+            match frame {
+                Frame::Call { args, .. } => Frame::Return(Value::List(args)),
+                other => panic!("unexpected {}", other.kind_name()),
+            }
+        }
+    }
+
+    #[test]
+    fn in_process_round_trips_through_codec() {
+        let transport = SimTransport::in_process(Arc::new(EchoHandler));
+        let reply = transport
+            .request(Frame::Call {
+                key: None,
+                target: ObjectId(1),
+                method: "echo".into(),
+                args: vec![Value::I32(7), Value::Str("x".into())],
+            })
+            .unwrap();
+        assert_eq!(
+            reply,
+            Frame::Return(Value::List(vec![Value::I32(7), Value::Str("x".into())]))
+        );
+        assert_eq!(transport.stats().requests(), 1);
+        assert!(transport.stats().bytes_sent() > 0);
     }
 
     #[test]

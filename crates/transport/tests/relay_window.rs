@@ -10,8 +10,8 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use brmi_transport::inproc::InProcTransport;
 use brmi_transport::relay::{BatchRelay, RelayPolicy};
+use brmi_transport::sim::SimTransport;
 use brmi_transport::RequestHandler;
 use brmi_wire::invocation::{BatchResponse, PolicySpec};
 use brmi_wire::protocol::{BatchCall, Frame};
@@ -54,7 +54,7 @@ fn a_lone_batch_ships_within_microseconds_of_the_deadline() {
         arrivals: Mutex::new(Vec::new()),
     });
     let relay = BatchRelay::new(
-        Arc::new(InProcTransport::new(origin.clone())),
+        Arc::new(SimTransport::in_process(origin.clone())),
         RelayPolicy::builder()
             .max_coalesced_calls(1000)
             .max_delay(MAX_DELAY)
